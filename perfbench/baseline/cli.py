@@ -1,0 +1,251 @@
+"""Command-line surface: subarch, map, verify, bench."""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import click
+
+from .circuits import (Allocation, emit_qasm, parse_layout_comments, parse_qasm)
+from .graphs import PlatformError, load_platform
+from .maximal import BudgetExceeded, Deadline, max_subarchitectures
+from .mapper import map_optimal
+from .strategy import (ORDER_DENSE_FIRST, ORDER_INSERTION, StrategyConfig,
+                       map_with_subarch, optimality_certificate)
+from .subgraphs import connected_subgraphs
+from .verify import RELAXED, STRICT, check_equivalence, check_feasibility, Verdict
+
+EXIT_FAILURE = 1
+EXIT_BUDGET = 3
+
+
+@click.group()
+def main():
+    """Optimal quantum layout synthesis with maximal subarchitectures."""
+
+
+def _row_dict(platform_name: str, p: int, ss) -> dict:
+    a, c, ni, mx = ss.counts_row()
+    return {
+        "platform": platform_name, "P": p, "k": ss.k,
+        "all_subsets": a, "connected": c, "noniso": ni, "max": mx,
+        "stage_seconds": {key: round(ss.stage_times[key], 4)
+                          for key in ("connected", "noniso", "max", "total")},
+    }
+
+
+_ROW_FMT = "{:<12} {:>4} {:>4} {:>16} {:>10} {:>8} {:>6}   {:>9} {:>9} {:>9} {:>9}"
+
+
+def _print_row_table(rows: list[dict]) -> None:
+    click.echo(_ROW_FMT.format("Platform", "|P|", "k", "All Subsets", "Connected",
+                               "NonIso", "Max", "Conn (s)", "NonIso(s)", "Max (s)",
+                               "Total (s)"))
+    for r in rows:
+        t = r["stage_seconds"]
+        click.echo(_ROW_FMT.format(
+            r["platform"], r["P"], r["k"], str(r["all_subsets"]), r["connected"],
+            r["noniso"], r["max"], t["connected"], t["noniso"], t["max"], t["total"]))
+
+
+@main.command()
+@click.option("--platform", required=True, help="Built-in name or platform JSON path.")
+@click.option("--size", "k", type=int, required=True, help="Subarchitecture size k.")
+@click.option("--stage", type=click.Choice(["connected", "full"]), default="full")
+@click.option("--list", "list_members", is_flag=True,
+              help="Print each vertex set, one sorted set per line.")
+@click.option("--emit", "emit_dir", type=click.Path(), default=None,
+              help="Write each maximal member as a platform JSON file.")
+@click.option("--cache", "cache_dir", type=click.Path(), default=None)
+@click.option("--wl-iterations", type=int, default=3)
+@click.option("--trust-hash", is_flag=True,
+              help="Skip exact isomorphism checks inside hash buckets.")
+@click.option("--budget", type=float, default=None, help="Wall-clock budget (s).")
+@click.option("--json", "as_json", is_flag=True)
+def subarch(platform, k, stage, list_members, emit_dir, cache_dir, wl_iterations,
+            trust_hash, budget, as_json):
+    """Enumerate subarchitectures; prints a benchmark-table style row."""
+    g = _load(platform)
+    if not 1 <= k <= g.num_vertices:
+        raise click.UsageError(f"size {k} out of range for |P|={g.num_vertices}")
+    deadline = Deadline(budget)
+    try:
+        if stage == "connected":
+            count = 0
+            for subset in connected_subgraphs(g, k):
+                deadline.check()
+                count += 1
+                if list_members:
+                    click.echo(" ".join(map(str, subset)))
+            out = {"platform": g.name or platform, "k": k, "connected": count}
+            click.echo(json.dumps(out) if as_json else f"connected: {count}")
+            return
+        ss = max_subarchitectures(g, k, wl_iterations=wl_iterations,
+                                  trust_hash=trust_hash, deadline=deadline,
+                                  cache_dir=cache_dir)
+    except BudgetExceeded:
+        click.echo("TO")
+        sys.exit(EXIT_BUDGET)
+    row = _row_dict(g.name or platform, g.num_vertices, ss)
+    if as_json:
+        click.echo(json.dumps(row))
+    else:
+        _print_row_table([row])
+    if list_members:
+        for member in ss.members:
+            click.echo(" ".join(map(str, member.vertices)))
+    if emit_dir:
+        out = Path(emit_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for i, member in enumerate(ss.members):
+            relabel = {v: j for j, v in enumerate(member.vertices)}
+            doc = {"name": f"{g.name or 'platform'}-k{k}-{i}",
+                   "qubits": member.num_vertices,
+                   "edges": sorted([relabel[u], relabel[v]] for u, v in member.edges)}
+            (out / f"{doc['name']}.json").write_text(json.dumps(doc, indent=1))
+
+
+@main.command(name="map")
+@click.option("--platform", required=True)
+@click.option("--circuit", "circuit_path", type=click.Path(exists=True), required=True)
+@click.option("--bound", type=int, default=None, help="Initial swap bound.")
+@click.option("--full-architecture", is_flag=True,
+              help="Map directly onto the whole platform, no subarchitectures.")
+@click.option("--ancillas", default="2",
+              help='Max ancilla qubits, or "until-full".')
+@click.option("--order", type=click.Choice([ORDER_DENSE_FIRST, ORDER_INSERTION]),
+              default=ORDER_DENSE_FIRST)
+@click.option("--cache", "cache_dir", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None,
+              help="Write mapped QASM here (default: stdout).")
+@click.option("--report", "report_path", type=click.Path(), default=None,
+              help="Write the machine-readable run report here.")
+def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, order,
+            cache_dir, out_path, report_path):
+    """Map a circuit; emits mapped QASM plus a JSON summary."""
+    g = _load(platform)
+    circ = parse_qasm(Path(circuit_path).read_text())
+    report_doc: dict = {}
+    if full_architecture:
+        result = map_optimal(circ, g, bound=bound)
+        if result is not None:
+            report_doc["map_calls"] = 1
+    else:
+        if ancillas == "until-full":
+            max_anc = None
+        else:
+            try:
+                max_anc = int(ancillas)
+            except ValueError:
+                raise click.UsageError('--ancillas takes an integer or "until-full"')
+        cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound,
+                             member_order=order, cache_dir=cache_dir)
+        strat = map_with_subarch(g, circ, cfg)
+        result = strat.result
+        report_doc = {
+            "map_calls": strat.map_calls,
+            "outcomes": [{"k": o.k, "subarch": list(o.subarch_vertices),
+                          "status": o.status, "swaps": o.swaps}
+                         for o in strat.outcomes],
+            "certificate": optimality_certificate(strat, g, cfg),
+        }
+    if result is None:
+        click.echo(json.dumps({"success": False}))
+        sys.exit(EXIT_FAILURE)
+    qasm = emit_qasm(result.mapped, layout=result.initial)
+    summary = {
+        "success": True,
+        "swaps": result.swaps,
+        "gate_equivalent": 3 * result.swaps,
+        "qubits_used": result.subarch.num_vertices,
+        "subarch_vertices": list(result.subarch.vertices),
+    }
+    if report_path:
+        report_doc["summary"] = summary
+        Path(report_path).write_text(json.dumps(report_doc, indent=1))
+    if out_path:
+        Path(out_path).write_text(qasm)
+        click.echo(json.dumps(summary))
+    else:
+        click.echo(qasm, nl=False)
+        click.echo(json.dumps(summary), err=True)
+
+
+@main.command()
+@click.option("--platform", required=True)
+@click.option("--circuit", "circuit_path", type=click.Path(exists=True), required=True)
+@click.option("--mapped", "mapped_path", type=click.Path(exists=True), required=True)
+@click.option("--layout", default="auto",
+              help='"auto" (from QASM comments) or a JSON file {logical: physical}.')
+@click.option("--mode", type=click.Choice([STRICT, RELAXED]), default=STRICT)
+def verify(platform, circuit_path, mapped_path, layout, mode):
+    """Check feasibility and equivalence of a mapped circuit. Exit 0/1."""
+    g = _load(platform)
+    original = parse_qasm(Path(circuit_path).read_text())
+    mapped_text = Path(mapped_path).read_text()
+    mapped = parse_qasm(mapped_text, space="physical")
+    if layout == "auto":
+        alloc = parse_layout_comments(mapped_text)
+        if alloc is None:
+            raise click.UsageError("no layout comments in mapped file; pass --layout FILE")
+    else:
+        doc = json.loads(Path(layout).read_text())
+        alloc = Allocation.from_dict({int(q): int(p) for q, p in doc.items()})
+    feas = check_feasibility(mapped, g)
+    equiv = check_equivalence(original, mapped, alloc, mode)
+    verdict = Verdict(feasible=not feas, equivalent=not equiv, mode=mode,
+                      swap_count=mapped.swap_count(), violations=feas + equiv)
+    click.echo(json.dumps(verdict.to_dict()))
+    sys.exit(0 if verdict.ok else EXIT_FAILURE)
+
+
+@main.command()
+@click.option("--manifest", type=click.Path(exists=True), required=True,
+              help='JSON list of {"platform": ..., "k": ...} entries.')
+@click.option("--budget", type=float, default=None, help="Per-row budget (s).")
+@click.option("--cache", "cache_dir", type=click.Path(), default=None)
+@click.option("--json", "as_json", is_flag=True)
+def bench(manifest, budget, cache_dir, as_json):
+    """Run the subarchitecture pipeline over a manifest and render a table."""
+    entries = json.loads(Path(manifest).read_text())
+    rows, errors, timeouts = [], 0, 0
+    for entry in entries:
+        name = entry["platform"]
+        try:
+            g = load_platform(name)
+            ss = max_subarchitectures(g, entry["k"], deadline=Deadline(budget),
+                                      cache_dir=cache_dir)
+            rows.append(_row_dict(g.name or name, g.num_vertices, ss))
+        except BudgetExceeded:
+            timeouts += 1
+            rows.append({"platform": name, "P": None, "k": entry["k"], "error": "TO"})
+        except (PlatformError, ValueError) as exc:
+            errors += 1
+            rows.append({"platform": name, "P": None, "k": entry.get("k"),
+                         "error": str(exc)})
+    if as_json:
+        click.echo(json.dumps({"rows": rows}))
+    else:
+        ok_rows = [r for r in rows if "error" not in r]
+        if ok_rows:
+            _print_row_table(ok_rows)
+        for r in rows:
+            if "error" in r:
+                click.echo(f"{r['platform']} k={r['k']}: {r['error']}")
+    if timeouts:
+        sys.exit(EXIT_BUDGET)
+    if errors:
+        sys.exit(EXIT_FAILURE)
+
+
+def _load(platform: str):
+    try:
+        return load_platform(platform)
+    except PlatformError as exc:
+        raise click.UsageError(str(exc))
+
+
+if __name__ == "__main__":
+    main()

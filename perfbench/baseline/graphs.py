@@ -1,0 +1,189 @@
+"""Coupling graphs: undirected graphs over physical qubits with stable labels."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections import deque
+from importlib import resources
+from pathlib import Path
+from typing import Iterable
+
+
+class PlatformError(ValueError):
+    """Raised for malformed platform descriptions."""
+
+
+class CouplingGraph:
+    """Undirected graph of physical qubits.
+
+    Vertex labels are preserved through every operation (never re-indexed),
+    so an allocation onto an induced subgraph is directly an allocation onto
+    the platform it was cut from. Instances are immutable and hashable.
+    """
+
+    __slots__ = ("name", "vertices", "edges", "_adj", "_hash")
+
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
+                 name: str = ""):
+        vlist = list(vertices)
+        vset = set(vlist)
+        if len(vset) != len(vlist):
+            raise PlatformError("duplicate vertex labels")
+        vs = tuple(sorted(vset))
+        norm = set()
+        for u, v in edges:
+            if u == v:
+                raise PlatformError(f"self-loop on vertex {u}")
+            if u not in vset or v not in vset:
+                raise PlatformError(f"edge ({u},{v}) has endpoint outside vertex set")
+            norm.add((u, v) if u < v else (v, u))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", frozenset(norm))
+        adj = {v: [] for v in vs}
+        for u, v in norm:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
+        object.__setattr__(self, "_hash", hash((vs, self.edges)))
+
+    def __setattr__(self, key, value):
+        raise AttributeError("CouplingGraph is immutable")
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return ((u, v) if u < v else (v, u)) in self.edges
+
+    def degree_sequence(self) -> tuple[int, ...]:
+        return tuple(sorted(len(ns) for ns in self._adj.values()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CouplingGraph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        tag = f" {self.name!r}" if self.name else ""
+        return f"<CouplingGraph{tag} |V|={self.num_vertices} |E|={self.num_edges}>"
+
+    def digest(self) -> str:
+        """Content digest of the labeled graph, used as a cache key."""
+        payload = json.dumps({"v": list(self.vertices),
+                              "e": sorted(self.edges)}).encode()
+        return hashlib.sha256(payload).hexdigest()
+
+
+def parse_platform(text: str) -> CouplingGraph:
+    """Parse a platform JSON document: {"name", "qubits": N, "edges": [[u,v],...]}."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PlatformError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "qubits" not in doc:
+        raise PlatformError("platform document must be an object with a 'qubits' field")
+    n = doc["qubits"]
+    if not isinstance(n, int) or n < 0:
+        raise PlatformError("'qubits' must be a non-negative integer")
+    edges = []
+    for item in doc.get("edges", []):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise PlatformError(f"malformed edge entry: {item!r}")
+        u, v = item
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise PlatformError(f"edge endpoints must be integers: {item!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise PlatformError(f"edge ({u},{v}) out of range for {n} qubits")
+        edges.append((u, v))
+    return CouplingGraph(range(n), edges, name=doc.get("name", ""))
+
+
+def load_platform(spec: str | Path) -> CouplingGraph:
+    """Load a platform by built-in name (e.g. "guadalupe", "tokyo") or file path."""
+    path = Path(spec)
+    if path.is_file():
+        return parse_platform(path.read_text())
+    builtin = resources.files(f"{__package__}.platforms").joinpath(f"{spec}.json")
+    if builtin.is_file():
+        return parse_platform(builtin.read_text())
+    raise PlatformError(f"unknown platform {spec!r}: not a file or built-in name")
+
+
+def is_connected(g: CouplingGraph) -> bool:
+    """True iff every vertex pair is joined by a path. Empty and singleton graphs count."""
+    if g.num_vertices <= 1:
+        return True
+    start = g.vertices[0]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == g.num_vertices
+
+
+def connected_components(g: CouplingGraph) -> list[tuple[int, ...]]:
+    """Partition the vertices into maximal connected sets, ordered by smallest member."""
+    seen: set[int] = set()
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
+    """Induced subgraph on `members`, keeping original vertex labels."""
+    s = set(members)
+    missing = s - set(g.vertices)
+    if missing:
+        raise ValueError(f"not vertices of the graph: {sorted(missing)}")
+    kept = [(u, v) for u, v in g.edges if u in s and v in s]
+    return CouplingGraph(s, kept, name=g.name)
+
+
+def spanning_tree(g: CouplingGraph) -> dict[int, int | None]:
+    """Deterministic BFS spanning tree as a parent map; root (smallest label) maps to None."""
+    if g.num_vertices == 0:
+        raise ValueError("spanning tree of an empty graph is undefined")
+    if not is_connected(g):
+        raise ValueError("graph is disconnected")
+    root = g.vertices[0]
+    parent: dict[int, int | None] = {root: None}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent

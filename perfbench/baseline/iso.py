@@ -1,0 +1,126 @@
+"""Graph hashing and (sub)graph isomorphism tests.
+
+The hash is a Weisfeiler-Lehman color refinement digest: isomorphic graphs
+always collide, non-isomorphic ones almost never do. Exact checks are
+backtracking matchers with degree-based pruning.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from .graphs import CouplingGraph
+
+DEFAULT_WL_ITERATIONS = 3
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def wl_hash(g: CouplingGraph, iterations: int = DEFAULT_WL_ITERATIONS) -> str:
+    """Weisfeiler-Lehman graph hash, invariant under vertex relabeling.
+
+    Initial colors are vertex degrees; each round re-colors a vertex with a
+    digest of its own color and the sorted multiset of neighbor colors. The
+    final value digests the sorted multiset of colors together with the
+    vertex and edge counts.
+    """
+    colors = {v: str(g.degree(v)) for v in g.vertices}
+    for _ in range(iterations):
+        colors = {
+            v: _digest(colors[v] + "|" + ",".join(sorted(colors[u] for u in g.neighbors(v))))
+            for v in g.vertices
+        }
+    summary = f"{g.num_vertices}:{g.num_edges}:" + ",".join(sorted(colors.values()))
+    return _digest(summary)
+
+
+def _match(pattern: CouplingGraph, host: CouplingGraph,
+           induced: bool) -> dict[int, int] | None:
+    """Find an injective map carrying pattern edges to host edges.
+
+    With induced=True, non-edges must also be preserved among mapped vertices.
+    Deterministic: pattern vertices are processed in a fixed connectivity-aware
+    order and host candidates ascending, so the first witness is stable.
+    """
+    pn, hn = pattern.num_vertices, host.num_vertices
+    if pn > hn or pattern.num_edges > host.num_edges:
+        return None
+
+    # Order pattern vertices so each one (after the first of its component)
+    # touches an already-placed vertex; anchored vertices prune hard.
+    order: list[int] = []
+    placed: set[int] = set()
+    remaining = set(pattern.vertices)
+    while remaining:
+        candidates = [v for v in remaining if placed & set(pattern.neighbors(v))]
+        if candidates:
+            v = max(candidates, key=lambda x: (pattern.degree(x), -x))
+        else:
+            v = max(remaining, key=lambda x: (pattern.degree(x), -x))
+        order.append(v)
+        placed.add(v)
+        remaining.remove(v)
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def backtrack(idx: int) -> bool:
+        if idx == pn:
+            return True
+        pv = order[idx]
+        mapped_nbrs = [mapping[u] for u in pattern.neighbors(pv) if u in mapping]
+        if mapped_nbrs:
+            cands = set(host.neighbors(mapped_nbrs[0]))
+            for mv in mapped_nbrs[1:]:
+                cands &= set(host.neighbors(mv))
+            cands -= used
+        else:
+            cands = set(host.vertices) - used
+        for hv in sorted(cands):
+            if host.degree(hv) < pattern.degree(pv):
+                continue
+            if induced:
+                ok = all(pattern.has_edge(pv, u) == host.has_edge(hv, mapping[u])
+                         for u in mapping)
+            else:
+                ok = all(host.has_edge(hv, mapping[u])
+                         for u in pattern.neighbors(pv) if u in mapping)
+            if not ok:
+                continue
+            mapping[pv] = hv
+            used.add(hv)
+            if backtrack(idx + 1):
+                return True
+            del mapping[pv]
+            used.remove(hv)
+        return False
+
+    return dict(mapping) if backtrack(0) else None
+
+
+def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:
+    """True iff an edge-preserving bijection between the two graphs exists."""
+    if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
+        return False
+    if g1.degree_sequence() != g2.degree_sequence():
+        return False
+    # An induced injection between graphs of equal size is a bijection that
+    # preserves edges and non-edges, i.e. an isomorphism.
+    return _match(g1, g2, induced=True) is not None
+
+
+def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
+    """True iff pattern maps injectively into host carrying every edge to an edge.
+
+    Non-induced (monomorphism) semantics: the host may have extra edges among
+    the image vertices.
+    """
+    return _match(pattern, host, induced=False) is not None
+
+
+def find_embedding(pattern: CouplingGraph,
+                   host: CouplingGraph) -> dict[int, int] | None:
+    """Return a monomorphism witness pattern-vertex -> host-vertex, or None."""
+    return _match(pattern, host, induced=False)

@@ -1,0 +1,130 @@
+"""Mapping with maximal subarchitectures and an increasing ancilla budget.
+
+For each size k from n upward, the circuit is mapped onto every maximal
+k-subarchitecture under the current swap bound; every success tightens the
+bound to S-1, and a zero-swap success returns immediately.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from .circuits import Circuit
+from .graphs import CouplingGraph, is_connected
+from .mapper import MapResult, map_optimal
+from .maximal import Deadline, max_subarchitectures
+
+ORDER_DENSE_FIRST = "dense-first"
+ORDER_INSERTION = "insertion"
+
+
+@dataclass
+class StrategyConfig:
+    max_ancillas: int | None = 2  # None: keep going until k = |P|
+    initial_bound: int | None = None  # None: unbounded, as in the base loop
+    early_stop_on_zero: bool = True
+    member_order: str = ORDER_DENSE_FIRST
+    wl_iterations: int = 3
+    trust_hash: bool = False
+    cache_dir: str | Path | None = None
+
+
+@dataclass
+class MemberOutcome:
+    k: int
+    subarch_vertices: tuple[int, ...]
+    status: str  # "success" | "bound-fail"
+    swaps: int | None = None
+
+
+@dataclass
+class StrategyReport:
+    result: MapResult | None
+    swaps: int | None
+    ancillas: int | None
+    map_calls: int
+    outcomes: list[MemberOutcome] = field(default_factory=list)
+
+    @property
+    def success(self) -> bool:
+        return self.result is not None
+
+    def successful_swaps(self) -> list[int]:
+        return [o.swaps for o in self.outcomes if o.status == "success"]
+
+
+def map_with_subarch(g: CouplingGraph, c: Circuit,
+                     cfg: StrategyConfig | None = None,
+                     deadline: Deadline | None = None) -> StrategyReport:
+    """Best mapping of c onto g using at most cfg.max_ancillas ancilla qubits."""
+    cfg = cfg or StrategyConfig()
+    n = c.n_qubits
+    if n > g.num_vertices:
+        raise ValueError("circuit larger than platform")
+    if not is_connected(g):
+        raise ValueError("platform must be connected")
+
+    k_max = g.num_vertices if cfg.max_ancillas is None \
+        else min(g.num_vertices, n + cfg.max_ancillas)
+    bound = cfg.initial_bound
+    best: MapResult | None = None
+    report = StrategyReport(None, None, None, 0)
+
+    for k in range(n, k_max + 1):
+        subarchs = max_subarchitectures(
+            g, k, wl_iterations=cfg.wl_iterations, trust_hash=cfg.trust_hash,
+            deadline=deadline, cache_dir=cfg.cache_dir)
+        members = list(subarchs.members)
+        if cfg.member_order == ORDER_DENSE_FIRST:
+            members.sort(key=lambda m: -m.num_edges)  # stable: ties keep insertion order
+        for member in members:
+            if deadline is not None:
+                deadline.check()
+            report.map_calls += 1
+            result = map_optimal(c, member, bound=bound)
+            if result is None:
+                report.outcomes.append(
+                    MemberOutcome(k, member.vertices, "bound-fail"))
+                continue
+            report.outcomes.append(
+                MemberOutcome(k, member.vertices, "success", result.swaps))
+            best = result
+            if result.swaps == 0 and cfg.early_stop_on_zero:
+                _finish(report, best, n)
+                return report
+            bound = result.swaps - 1
+    _finish(report, best, n)
+    return report
+
+
+def _finish(report: StrategyReport, best: MapResult | None, n: int) -> None:
+    report.result = best
+    if best is not None:
+        report.swaps = best.swaps
+        report.ancillas = best.subarch.num_vertices - n
+
+
+def optimality_certificate(report: StrategyReport, g: CouplingGraph,
+                           cfg: StrategyConfig | None = None) -> dict:
+    """Structured argument that the achieved swap count is minimal for the ancilla budget.
+
+    Every maximal subarchitecture at every visited size either failed under
+    the bound in force or produced at least the final count; maximality makes
+    those calls exhaustive over all connected subarchitectures of each size.
+    """
+    cfg = cfg or StrategyConfig()
+    budget = "unbounded" if cfg.max_ancillas is None else cfg.max_ancillas
+    chain = [
+        {"k": o.k, "subarch": list(o.subarch_vertices), "status": o.status,
+         "swaps": o.swaps}
+        for o in report.outcomes
+    ]
+    if not report.success:
+        return {"optimal": False, "reason": "no mapping within the initial bound",
+                "ancilla_budget": budget, "bound_chain": chain}
+    statement = (f"{report.swaps} swaps is minimal among all mappings onto the "
+                 f"platform using at most {budget} ancilla qubits")
+    return {"optimal": True, "swaps": report.swaps, "ancillas": report.ancillas,
+            "ancilla_budget": budget, "statement": statement,
+            "bound_chain": chain}

@@ -1,0 +1,53 @@
+"""Streaming enumeration of connected induced k-vertex subgraphs."""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator
+
+from .graphs import CouplingGraph, is_connected
+
+
+def count_all_subsets(p: int, k: int) -> int:
+    """Number of k-subsets of p vertices. Exact (Python big ints)."""
+    if not 0 <= k <= p:
+        raise ValueError(f"k={k} out of range for p={p}")
+    return math.comb(p, k)
+
+
+def connected_subgraphs(g: CouplingGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield each k-subset of V whose induced subgraph is connected, exactly once.
+
+    Anchored expansion: for each anchor vertex v (ascending), enumerate
+    connected sets whose minimum element is v, growing only through vertices
+    larger than v. Extension candidates that are already neighbors of the
+    current set are excluded when a new vertex is added, so no set is reached
+    twice. Memory stays proportional to k times the recursion depth; the
+    number of yielded sets never accumulates in memory.
+    """
+    if not 1 <= k <= g.num_vertices:
+        raise ValueError(f"k={k} out of range for |V|={g.num_vertices}")
+    if not is_connected(g):
+        raise ValueError("graph must be connected; decompose into components first")
+
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def extend(anchor: int, sub: list[int], sub_set: set[int],
+               ext: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(sub) == k:
+            yield tuple(sorted(sub))
+            return
+        # Each candidate is either consumed into the subgraph or permanently
+        # excluded for the rest of this branch, so every set is built once.
+        for i, w in enumerate(ext):
+            fresh = [u for u in adj[w]
+                     if u > anchor and u not in sub_set and not (adj[u] & sub_set)]
+            sub.append(w)
+            sub_set.add(w)
+            yield from extend(anchor, sub, sub_set, ext[i + 1:] + sorted(fresh))
+            sub.pop()
+            sub_set.remove(w)
+
+    for v in g.vertices:
+        ext0 = sorted(u for u in adj[v] if u > v)
+        yield from extend(v, [v], {v}, ext0)
