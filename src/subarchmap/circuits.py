@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 LOGICAL = "logical"
 PHYSICAL = "physical"
@@ -100,19 +100,6 @@ class Allocation:
 
     def __len__(self) -> int:
         return len(self.forward)
-
-
-def apply_swap(a: Allocation, i: int, j: int) -> Allocation:
-    """Compose the transposition of physical qubits i,j onto the allocation."""
-    if i == j:
-        raise ValueError("swap needs two distinct physical qubits")
-    table = a.as_dict()
-    for q, p in table.items():
-        if p == i:
-            table[q] = j
-        elif p == j:
-            table[q] = i
-    return Allocation.from_dict(table)
 
 
 def unmap(c: Circuit, a: Allocation) -> Circuit:
@@ -278,9 +265,3 @@ def gate_equivalent_cost(swaps: int) -> int:
     """Reporting helper: each swap costs 3 cx gates when decomposed."""
     return 3 * swaps
 
-
-def iter_used_qubits(gates: Iterable[Gate]) -> set[int]:
-    used: set[int] = set()
-    for g in gates:
-        used.update(g.qubits)
-    return used

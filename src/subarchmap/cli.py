@@ -8,14 +8,15 @@ from pathlib import Path
 
 import click
 
-from .circuits import (Allocation, emit_qasm, parse_layout_comments, parse_qasm)
-from .graphs import PlatformError, load_platform
+from .circuits import (LOGICAL, PHYSICAL, Allocation, Circuit, emit_qasm,
+                       gate_equivalent_cost, parse_layout_comments, parse_qasm)
+from .graphs import CouplingGraph, PlatformError, is_connected, load_platform
 from .maximal import BudgetExceeded, Deadline, max_subarchitectures
 from .mapper import map_optimal
 from .strategy import (ORDER_DENSE_FIRST, ORDER_INSERTION, StrategyConfig,
                        map_with_subarch, optimality_certificate)
 from .subgraphs import connected_subgraphs
-from .verify import RELAXED, STRICT, check_equivalence, check_feasibility, Verdict
+from .verify import RELAXED, STRICT, check_equivalence, check_feasibility, make_verdict
 
 EXIT_FAILURE = 1
 EXIT_BUDGET = 3
@@ -31,6 +32,7 @@ def _row_dict(platform_name: str, p: int, ss) -> dict:
     return {
         "platform": platform_name, "P": p, "k": ss.k,
         "all_subsets": a, "connected": c, "noniso": ni, "max": mx,
+        "cached": ss.cached,
         "stage_seconds": {key: round(ss.stage_times[key], 4)
                           for key in ("connected", "noniso", "max", "total")},
     }
@@ -67,7 +69,7 @@ def _print_row_table(rows: list[dict]) -> None:
 def subarch(platform, k, stage, list_members, emit_dir, cache_dir, wl_iterations,
             trust_hash, budget, as_json):
     """Enumerate subarchitectures; prints a benchmark-table style row."""
-    g = _load(platform)
+    g = _load(platform, connected=True)
     if not 1 <= k <= g.num_vertices:
         raise click.UsageError(f"size {k} out of range for |P|={g.num_vertices}")
     deadline = Deadline(budget)
@@ -125,8 +127,11 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, wl_iterations
 def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, order,
             cache_dir, out_path, report_path):
     """Map a circuit; emits mapped QASM plus a JSON summary."""
-    g = _load(platform)
-    circ = parse_qasm(Path(circuit_path).read_text())
+    g = _load(platform, connected=True)
+    circ = _parse(Path(circuit_path).read_text(), "--circuit")
+    if not 1 <= circ.n_qubits <= g.num_vertices:
+        raise click.BadParameter(f"circuit has {circ.n_qubits} qubits, platform "
+                                 f"has {g.num_vertices}", param_hint="--circuit")
     report_doc: dict = {}
     if full_architecture:
         result = map_optimal(circ, g, bound=bound)
@@ -158,7 +163,7 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, order,
     summary = {
         "success": True,
         "swaps": result.swaps,
-        "gate_equivalent": 3 * result.swaps,
+        "gate_equivalent": gate_equivalent_cost(result.swaps),
         "qubits_used": result.subarch.num_vertices,
         "subarch_vertices": list(result.subarch.vertices),
     }
@@ -183,20 +188,22 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, order,
 def verify(platform, circuit_path, mapped_path, layout, mode):
     """Check feasibility and equivalence of a mapped circuit. Exit 0/1."""
     g = _load(platform)
-    original = parse_qasm(Path(circuit_path).read_text())
+    original = _parse(Path(circuit_path).read_text(), "--circuit")
     mapped_text = Path(mapped_path).read_text()
-    mapped = parse_qasm(mapped_text, space="physical")
-    if layout == "auto":
-        alloc = parse_layout_comments(mapped_text)
-        if alloc is None:
-            raise click.UsageError("no layout comments in mapped file; pass --layout FILE")
-    else:
-        doc = json.loads(Path(layout).read_text())
-        alloc = Allocation.from_dict({int(q): int(p) for q, p in doc.items()})
+    mapped = _parse(mapped_text, "--mapped", PHYSICAL)
+    try:
+        if layout == "auto":
+            alloc = parse_layout_comments(mapped_text)
+        else:
+            doc = json.loads(Path(layout).read_text())
+            alloc = Allocation.from_dict({int(q): int(p) for q, p in doc.items()})
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise click.BadParameter(str(exc), param_hint="--layout")
+    if alloc is None:
+        raise click.UsageError("no layout comments in mapped file; pass --layout FILE")
     feas = check_feasibility(mapped, g)
     equiv = check_equivalence(original, mapped, alloc, mode)
-    verdict = Verdict(feasible=not feas, equivalent=not equiv, mode=mode,
-                      swap_count=mapped.swap_count(), violations=feas + equiv)
+    verdict = make_verdict(mapped, feas, equiv, mode)
     click.echo(json.dumps(verdict.to_dict()))
     sys.exit(0 if verdict.ok else EXIT_FAILURE)
 
@@ -209,22 +216,25 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
 @click.option("--json", "as_json", is_flag=True)
 def bench(manifest, budget, cache_dir, as_json):
     """Run the subarchitecture pipeline over a manifest and render a table."""
-    entries = json.loads(Path(manifest).read_text())
+    try:
+        entries = [(str(entry["platform"]), int(entry["k"]))
+                   for entry in json.loads(Path(manifest).read_text())]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.BadParameter(f"not a list of {{platform, k}} rows: {exc!r}",
+                                 param_hint="--manifest")
     rows, errors, timeouts = [], 0, 0
-    for entry in entries:
-        name = entry["platform"]
+    for name, k in entries:
         try:
             g = load_platform(name)
-            ss = max_subarchitectures(g, entry["k"], deadline=Deadline(budget),
+            ss = max_subarchitectures(g, k, deadline=Deadline(budget),
                                       cache_dir=cache_dir)
             rows.append(_row_dict(g.name or name, g.num_vertices, ss))
         except BudgetExceeded:
             timeouts += 1
-            rows.append({"platform": name, "P": None, "k": entry["k"], "error": "TO"})
+            rows.append({"platform": name, "P": None, "k": k, "error": "TO"})
         except (PlatformError, ValueError) as exc:
             errors += 1
-            rows.append({"platform": name, "P": None, "k": entry.get("k"),
-                         "error": str(exc)})
+            rows.append({"platform": name, "P": None, "k": k, "error": str(exc)})
     if as_json:
         click.echo(json.dumps({"rows": rows}))
     else:
@@ -240,11 +250,21 @@ def bench(manifest, budget, cache_dir, as_json):
         sys.exit(EXIT_FAILURE)
 
 
-def _load(platform: str):
+def _load(platform: str, connected: bool = False) -> CouplingGraph:
     try:
-        return load_platform(platform)
+        g = load_platform(platform)
     except PlatformError as exc:
         raise click.UsageError(str(exc))
+    if connected and not is_connected(g):
+        raise click.BadParameter("platform is not connected", param_hint="--platform")
+    return g
+
+
+def _parse(text: str, option: str, space: str = LOGICAL) -> Circuit:
+    try:
+        return parse_qasm(text, space=space)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=option)
 
 
 if __name__ == "__main__":

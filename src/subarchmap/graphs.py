@@ -141,26 +141,6 @@ def is_connected(g: CouplingGraph) -> bool:
     return len(seen) == g.num_vertices
 
 
-def connected_components(g: CouplingGraph) -> list[tuple[int, ...]]:
-    """Partition the vertices into maximal connected sets, ordered by smallest member."""
-    seen: set[int] = set()
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    return out
-
-
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
     """Induced subgraph on `members`, keeping original vertex labels."""
     s = set(members)
@@ -170,20 +150,3 @@ def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
     kept = [(u, v) for u, v in g.edges if u in s and v in s]
     return CouplingGraph(s, kept, name=g.name)
 
-
-def spanning_tree(g: CouplingGraph) -> dict[int, int | None]:
-    """Deterministic BFS spanning tree as a parent map; root (smallest label) maps to None."""
-    if g.num_vertices == 0:
-        raise ValueError("spanning tree of an empty graph is undefined")
-    if not is_connected(g):
-        raise ValueError("graph is disconnected")
-    root = g.vertices[0]
-    parent: dict[int, int | None] = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return parent

@@ -1,8 +1,8 @@
 """Graph hashing and (sub)graph isomorphism tests.
 
 The hash is a Weisfeiler-Lehman color refinement digest: isomorphic graphs
-always collide, non-isomorphic ones almost never do. Exact checks are
-backtracking matchers with degree-based pruning.
+always collide, non-isomorphic ones almost never do. Both exact checks run
+one backtracking monomorphism matcher with degree-based pruning.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ def wl_hash(g: CouplingGraph, iterations: int = DEFAULT_WL_ITERATIONS) -> str:
     return _digest(summary)
 
 
-def _match(pattern: CouplingGraph, host: CouplingGraph,
-           induced: bool) -> dict[int, int] | None:
-    """Find an injective map carrying pattern edges to host edges.
+def _match(pattern: CouplingGraph, host: CouplingGraph) -> dict[int, int] | None:
+    """Find a monomorphism: an injective map carrying pattern edges to host edges.
 
-    With induced=True, non-edges must also be preserved among mapped vertices.
+    Host edges among the image vertices need not come from pattern edges.
     Deterministic: pattern vertices are processed in a fixed connectivity-aware
     order and host candidates ascending, so the first witness is stable.
     """
@@ -70,6 +69,8 @@ def _match(pattern: CouplingGraph, host: CouplingGraph,
         if idx == pn:
             return True
         pv = order[idx]
+        # Candidates are adjacent to the image of every placed neighbor of pv,
+        # so each one carries all of pv's edges to placed vertices.
         mapped_nbrs = [mapping[u] for u in pattern.neighbors(pv) if u in mapping]
         if mapped_nbrs:
             cands = set(host.neighbors(mapped_nbrs[0]))
@@ -80,14 +81,6 @@ def _match(pattern: CouplingGraph, host: CouplingGraph,
             cands = set(host.vertices) - used
         for hv in sorted(cands):
             if host.degree(hv) < pattern.degree(pv):
-                continue
-            if induced:
-                ok = all(pattern.has_edge(pv, u) == host.has_edge(hv, mapping[u])
-                         for u in mapping)
-            else:
-                ok = all(host.has_edge(hv, mapping[u])
-                         for u in pattern.neighbors(pv) if u in mapping)
-            if not ok:
                 continue
             mapping[pv] = hv
             used.add(hv)
@@ -106,9 +99,10 @@ def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:
         return False
     if g1.degree_sequence() != g2.degree_sequence():
         return False
-    # An induced injection between graphs of equal size is a bijection that
-    # preserves edges and non-edges, i.e. an isomorphism.
-    return _match(g1, g2, induced=True) is not None
+    # A monomorphism between graphs with equal vertex counts is a bijection,
+    # and with equal edge counts it carries the edges onto the edges: it is an
+    # isomorphism.
+    return _match(g1, g2) is not None
 
 
 def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
@@ -117,10 +111,10 @@ def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
     Non-induced (monomorphism) semantics: the host may have extra edges among
     the image vertices.
     """
-    return _match(pattern, host, induced=False) is not None
+    return _match(pattern, host) is not None
 
 
 def find_embedding(pattern: CouplingGraph,
                    host: CouplingGraph) -> dict[int, int] | None:
     """Return a monomorphism witness pattern-vertex -> host-vertex, or None."""
-    return _match(pattern, host, induced=False)
+    return _match(pattern, host)

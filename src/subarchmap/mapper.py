@@ -52,6 +52,12 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     On success the swap count is the true minimum, also when a finite bound
     is given. With relaxed=True gates may be interleaved across independence,
     and the result verifies under relaxed equivalence.
+
+    One search serves both orders. Each gate has a bitmask of the gates it
+    must follow, and a search state is the bitmask of executed gates plus the
+    current binding of logical to physical qubits. Strict order is the
+    dependency chain gate i-1 -> gate i; relaxed order keeps only the
+    dependencies through shared qubits. Nothing else depends on the order.
     """
     if c.n_qubits > g.num_vertices:
         raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
@@ -64,62 +70,44 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     dist = _all_pairs_distances(g)
     edges = sorted(g.edges)
 
-    # Dependency masks for relaxed order; in strict order gate i simply waits
-    # for gate i-1.
+    # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits
+    # only for the previous gate on each of its qubits; strict order is the
+    # chain in which gate i waits for gate i-1.
     preds_mask = [0] * m
     last_on: dict[int, int] = {}
     for i, gate in enumerate(gates):
-        mask = 0
-        for q in gate.qubits:
-            if q in last_on:
-                mask |= 1 << last_on[q]
-            last_on[q] = i
-        preds_mask[i] = mask
+        if relaxed:
+            for q in gate.qubits:
+                if q in last_on:
+                    preds_mask[i] |= 1 << last_on[q]
+                last_on[q] = i
+        elif i:
+            preds_mask[i] = 1 << (i - 1)
     full_mask = (1 << m) - 1
-
-    def ready_gates(done: int) -> list[int]:
-        if relaxed:
-            return [i for i in range(m)
-                    if not done >> i & 1 and preds_mask[i] & done == preds_mask[i]]
-        nxt = done  # strict mode: done is the index of the next gate
-        return [nxt] if nxt < m else []
-
-    def is_done(done: int) -> bool:
-        return done == full_mask if relaxed else done == m
-
-    def advance(done: int, i: int) -> int:
-        return done | (1 << i) if relaxed else done + 1
-
-    def pending(done: int):
-        if relaxed:
-            return (gates[i] for i in range(m) if not done >> i & 1)
-        return (gates[i] for i in range(done, m))
-
-    def heuristic(done: int, pos: dict[int, int]) -> int:
-        h = 0
-        for gate in pending(done):
-            if gate.name == "cx":
-                a, b = gate.qubits
-                if a in pos and b in pos:
-                    h = max(h, dist[pos[a]][pos[b]] - 1)
-        return h
+    cx_bits = [(1 << i, *gate.qubits) for i, gate in enumerate(gates)
+               if gate.name == "cx"]
 
     ops: list[tuple] = []
     pos: dict[int, int] = {}
     occ: dict[int, int] = {}
 
+    def heuristic(done: int) -> int:
+        h = 0
+        for bit, a, b in cx_bits:
+            if not done & bit and a in pos and b in pos:
+                h = max(h, dist[pos[a]][pos[b]] - 1)
+        return h
+
     def exec_moves(i: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-        """Ways to execute gate i right now: (physical operands, new bindings)."""
+        """Ways to execute gate i right now that bind at least one new qubit:
+        (physical operands, new bindings)."""
         gate = gates[i]
+        if all(q in pos for q in gate.qubits):
+            return []
         if gate.name != "cx":
             (q,) = gate.qubits
-            if q in pos:
-                return [((pos[q],), ())]
             return [((p,), ((q, p),)) for p in g.vertices if p not in occ]
         a, b = gate.qubits
-        if a in pos and b in pos:
-            pa, pb = pos[a], pos[b]
-            return [((pa, pb), ())] if g.has_edge(pa, pb) else []
         if a in pos:
             pa = pos[a]
             return [((pa, p), ((b, p),)) for p in g.neighbors(pa) if p not in occ]
@@ -135,15 +123,16 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     def dfs(done: int, remaining: int, last_edge: tuple[int, int] | None,
             memo: dict) -> bool:
-        if is_done(done):
+        if done == full_mask:
             return True
-        if heuristic(done, pos) > remaining:
+        if heuristic(done) > remaining:
             return False
         key = (done, tuple(sorted(occ.items())))
         if memo.get(key, -1) >= remaining:
             return False
 
-        ready = ready_gates(done)
+        ready = [i for i in range(m)
+                 if not done >> i & 1 and preds_mask[i] & done == preds_mask[i]]
 
         # A ready gate that is fully bound and feasible can always be pulled
         # to the front of any completion without changing the swap count, so
@@ -154,7 +143,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                 phys = tuple(pos[q] for q in gate.qubits)
                 if gate.name != "cx" or g.has_edge(*phys):
                     ops.append(("exec", i, phys, ()))
-                    if dfs(advance(done, i), remaining, None, memo):
+                    if dfs(done | 1 << i, remaining, None, memo):
                         return True
                     ops.pop()
                     memo[key] = max(memo.get(key, -1), remaining)
@@ -162,13 +151,11 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
         for i in ready:
             for phys, bindings in exec_moves(i):
-                if not bindings:
-                    continue  # fully bound cases were handled above
                 for q, p in bindings:
                     pos[q] = p
                     occ[p] = q
                 ops.append(("exec", i, phys, bindings))
-                if dfs(advance(done, i), remaining, None, memo):
+                if dfs(done | 1 << i, remaining, None, memo):
                     return True
                 ops.pop()
                 for q, p in bindings:
@@ -205,12 +192,11 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         return False
 
     limits = range(bound + 1) if bound is not None else itertools.count()
-    start = 0
     for limit in limits:
         ops.clear()
         pos.clear()
         occ.clear()
-        if dfs(start, limit, None, {}):
+        if dfs(0, limit, None, {}):
             return _build_result(c, g, ops, limit)
     return None
 

@@ -8,6 +8,7 @@ subgraph isomorphism (no member embeds into another member).
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,13 +36,21 @@ class Deadline:
 
 @dataclass
 class SubarchSet:
-    """Result of the maximal-subarchitecture pipeline for one (platform, k)."""
+    """Result of the maximal-subarchitecture pipeline for one (platform, k).
+
+    wl_iterations and trust_hash are the settings it was computed under;
+    cached is True when it was replayed from a cache file, whose stage_times
+    are those of the run that wrote it.
+    """
 
     platform: CouplingGraph
     k: int
     members: list[CouplingGraph]
     stage_counts: dict[str, int] = field(default_factory=dict)
     stage_times: dict[str, float] = field(default_factory=dict)
+    wl_iterations: int = DEFAULT_WL_ITERATIONS
+    trust_hash: bool = False
+    cached: bool = False
 
     def counts_row(self) -> tuple[int, int, int, int]:
         c = self.stage_counts
@@ -55,28 +64,29 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
                          cache_dir: str | Path | None = None) -> SubarchSet:
     """All maximal, connected, pairwise non-subgraph-isomorphic k-subgraphs of g.
 
-    Single streaming pass: each connected k-subset is hashed; a candidate is
-    new when no isomorphic graph sits in its hash bucket (with trust_hash a
-    non-empty bucket is trusted without the exact check, which may rarely drop
-    a class). New candidates are discarded if they embed into a current member
-    and evict members that embed into them. Members keep insertion order.
+    First pass, streaming: each connected k-subset is hashed and opens a new
+    isomorphism class when no isomorphic graph sits in its hash bucket (with
+    trust_hash a non-empty bucket is trusted without the exact check, which
+    may rarely drop a class).
 
-    Per-stage wall times are accumulated around each phase of the loop so the
-    reported split matches a staged run without buffering all subsets.
+    Second pass, densest class first: a class is kept unless it embeds into
+    an already-kept class with strictly more edges. Classes are pairwise
+    non-isomorphic, so a k-vertex class can only embed into one with more
+    edges; every such class was decided earlier, and one that was not kept
+    embeds into a kept one, so checking the kept classes is exhaustive.
+    Members are returned in the order their classes were first seen.
     """
     if cache_dir is not None:
-        cached = load_cached(g, k, cache_dir)
+        cached = load_cached(g, k, cache_dir, wl_iterations=wl_iterations,
+                             trust_hash=trust_hash)
         if cached is not None:
             return cached
 
     deadline = deadline or Deadline(None)
     connected = 0
     buckets: dict[str, list[CouplingGraph]] = {}
-    members: list[CouplingGraph] = []
-    # Comparison order: densest members first. A k-vertex graph can only embed
-    # into one with at least as many edges, so most checks short-circuit.
-    by_edges: list[CouplingGraph] = []
-    t_conn = t_iso = t_max = 0.0
+    classes: list[CouplingGraph] = []
+    t_conn = t_iso = 0.0
 
     stream = connected_subgraphs(g, k)
     while True:
@@ -90,71 +100,81 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
 
         t0 = time.perf_counter()
         sub = induced_subgraph(g, subset)
-        h = wl_hash(sub, wl_iterations)
-        bucket = buckets.setdefault(h, [])
-        if bucket and (trust_hash or any(is_isomorphic(sub, other) for other in bucket)):
-            t_iso += time.perf_counter() - t0
-            continue
-        bucket.append(sub)
+        bucket = buckets.setdefault(wl_hash(sub, wl_iterations), [])
+        seen = bucket and (trust_hash or any(is_isomorphic(sub, other)
+                                             for other in bucket))
+        if not seen:
+            bucket.append(sub)
+            classes.append(sub)
         t_iso += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        dominated = False
-        evicted: list[CouplingGraph] = []
-        for other in by_edges:
-            if other.num_edges >= sub.num_edges and subgraph_isomorphic(sub, other):
-                dominated = True
-                break
-            if other.num_edges <= sub.num_edges and subgraph_isomorphic(other, sub):
-                evicted.append(other)
-        if not dominated:
-            for other in evicted:
-                members.remove(other)
-                by_edges.remove(other)
-            members.append(sub)
-            by_edges.append(sub)
-            by_edges.sort(key=lambda m: -m.num_edges)
-        t_max += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    kept: list[int] = []
+    for i in sorted(range(len(classes)), key=lambda i: -classes[i].num_edges):
+        deadline.check()
+        sub = classes[i]
+        if not any(classes[j].num_edges > sub.num_edges
+                   and subgraph_isomorphic(sub, classes[j]) for j in kept):
+            kept.append(i)
+    members = [classes[i] for i in sorted(kept)]
+    t_max = time.perf_counter() - t0
 
     counts = {
         "all_subsets": count_all_subsets(g.num_vertices, k),
         "connected": connected,
-        "noniso": sum(len(b) for b in buckets.values()),
+        "noniso": len(classes),
         "max": len(members),
     }
     times = {"connected": t_conn, "noniso": t_iso, "max": t_max,
              "total": t_conn + t_iso + t_max}
-    result = SubarchSet(g, k, members, counts, times)
+    result = SubarchSet(g, k, members, counts, times, wl_iterations, trust_hash)
     if cache_dir is not None:
         save_cached(result, cache_dir)
     return result
 
 
-def _cache_path(g: CouplingGraph, k: int, cache_dir: str | Path) -> Path:
-    return Path(cache_dir) / f"{g.digest()[:16]}-k{k}.json"
+def _cache_path(g: CouplingGraph, k: int, cache_dir: str | Path,
+                wl_iterations: int, trust_hash: bool) -> Path:
+    check = "hash" if trust_hash else "exact"
+    return Path(cache_dir) / f"{g.digest()[:16]}-k{k}-wl{wl_iterations}-{check}.json"
 
 
 def save_cached(ss: SubarchSet, cache_dir: str | Path) -> Path:
-    path = _cache_path(ss.platform, ss.k, cache_dir)
+    """Write ss under a key of its platform, k and settings, atomically."""
+    path = _cache_path(ss.platform, ss.k, cache_dir, ss.wl_iterations, ss.trust_hash)
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "platform_digest": ss.platform.digest(),
         "k": ss.k,
+        "wl_iterations": ss.wl_iterations,
+        "trust_hash": ss.trust_hash,
         "members": [sorted(m.vertices) for m in ss.members],
         "stage_counts": ss.stage_counts,
         "stage_times": ss.stage_times,
     }
-    path.write_text(json.dumps(doc, indent=1))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=1))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
-def load_cached(g: CouplingGraph, k: int,
-                cache_dir: str | Path) -> SubarchSet | None:
-    path = _cache_path(g, k, cache_dir)
-    if not path.is_file():
+def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path, *,
+                wl_iterations: int = DEFAULT_WL_ITERATIONS,
+                trust_hash: bool = False) -> SubarchSet | None:
+    """The cached result for these settings, or None on a missing, unreadable
+    or mismatched file."""
+    path = _cache_path(g, k, cache_dir, wl_iterations, trust_hash)
+    try:
+        doc = json.loads(path.read_text())
+        if (doc["platform_digest"], doc["k"], doc["wl_iterations"],
+                doc["trust_hash"]) != (g.digest(), k, wl_iterations, trust_hash):
+            return None
+        members = [induced_subgraph(g, vs) for vs in doc["members"]]
+        return SubarchSet(g, k, members, dict(doc["stage_counts"]),
+                          dict(doc["stage_times"]), wl_iterations, trust_hash,
+                          cached=True)
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    doc = json.loads(path.read_text())
-    if doc.get("platform_digest") != g.digest() or doc.get("k") != k:
-        return None
-    members = [induced_subgraph(g, vs) for vs in doc["members"]]
-    return SubarchSet(g, k, members, doc["stage_counts"], doc["stage_times"])

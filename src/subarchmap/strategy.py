@@ -23,7 +23,6 @@ ORDER_INSERTION = "insertion"
 class StrategyConfig:
     max_ancillas: int | None = 2  # None: keep going until k = |P|
     initial_bound: int | None = None  # None: unbounded, as in the base loop
-    early_stop_on_zero: bool = True
     member_order: str = ORDER_DENSE_FIRST
     wl_iterations: int = 3
     trust_hash: bool = False
@@ -90,7 +89,7 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
             report.outcomes.append(
                 MemberOutcome(k, member.vertices, "success", result.swaps))
             best = result
-            if result.swaps == 0 and cfg.early_stop_on_zero:
+            if result.swaps == 0:
                 _finish(report, best, n)
                 return report
             bound = result.swaps - 1

@@ -59,18 +59,19 @@ def check_equivalence(original: Circuit, mapped: Circuit, a: Allocation,
     return []
 
 
+def make_verdict(mapped: Circuit, feas: list[tuple[int, str]],
+                 equiv: list[tuple[int, str]], mode: str) -> Verdict:
+    """Verdict from the violations check_feasibility and check_equivalence found."""
+    return Verdict(feasible=not feas, equivalent=not equiv, mode=mode,
+                   swap_count=mapped.swap_count(), violations=feas + equiv)
+
+
 def verify_result(original: Circuit, result: MapResult, g: CouplingGraph,
                   mode: str = STRICT) -> Verdict:
     """Full verdict for a mapping result against a target coupling graph."""
     feas = check_feasibility(result.mapped, g)
     equiv = check_equivalence(original, result.mapped, result.initial, mode)
-    return Verdict(
-        feasible=not feas,
-        equivalent=not equiv,
-        mode=mode,
-        swap_count=result.mapped.swap_count(),
-        violations=feas + equiv,
-    )
+    return make_verdict(result.mapped, feas, equiv, mode)
 
 
 def lift_to_platform(r: MapResult, g: CouplingGraph) -> MapResult:

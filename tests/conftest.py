@@ -57,3 +57,12 @@ def naive_connected_subsets(g: CouplingGraph, k: int) -> set[tuple[int, ...]]:
 def relabel_graph(g: CouplingGraph, perm: dict[int, int]) -> CouplingGraph:
     return CouplingGraph([perm[v] for v in g.vertices],
                          [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def to_networkx(g: CouplingGraph):
+    """A networkx copy of g, for oracles that share no code with the package."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subarchmap import Allocation, Circuit, Gate, apply_swap, circuits_equal, unmap
+from subarchmap import Allocation, Circuit, Gate, circuits_equal, unmap
 from subarchmap.circuits import (PHYSICAL, QasmError, UnmapError, emit_qasm,
                                  gate_equivalent_cost, make_ring_circuit,
                                  normal_form, parse_layout_comments, parse_qasm)
@@ -50,15 +50,6 @@ class TestAllocation:
     def test_inverse(self):
         a = Allocation.from_dict({0: 4, 1: 2})
         assert a.inverse() == {4: 0, 2: 1}
-
-    def test_apply_swap_moves_allocated(self):
-        a = Allocation.from_dict({0: 1, 1: 2})
-        b = apply_swap(a, 2, 3)
-        assert b.as_dict() == {0: 1, 1: 3}
-
-    def test_apply_swap_both_unallocated_is_identity(self):
-        a = Allocation.from_dict({0: 0})
-        assert apply_swap(a, 5, 6) == a
 
 
 class TestUnmap:

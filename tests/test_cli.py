@@ -69,6 +69,13 @@ class TestSubarch:
         doc = json.loads(files[0].read_text())
         assert doc["qubits"] == 4
 
+    def test_cache_replay_is_marked(self, runner, c5_path, tmp_path):
+        args = ["subarch", "--platform", c5_path, "--size", "3", "--json",
+                "--cache", str(tmp_path / "cache")]
+        first, again = (json.loads(runner.invoke(main, args).output) for _ in range(2))
+        assert (first["cached"], again["cached"]) == (False, True)
+        assert first["max"] == again["max"]
+
     def test_budget_expiry(self, runner):
         res = runner.invoke(main, ["subarch", "--platform", "tokyo",
                                    "--size", "10", "--budget", "0.01"])
@@ -170,6 +177,55 @@ class TestMapVerify:
         res = runner.invoke(main, ["verify", "--platform", c5_path,
                                    "--circuit", str(circ), "--mapped", str(circ)])
         assert res.exit_code == 2
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _qasm_file(tmp_path, body, n=2):
+    return _write(tmp_path / "in.qasm", f"OPENQASM 2.0;\nqreg q[{n}];\n{body}\n")
+
+
+def _two_triangles(tmp_path):
+    return _write(tmp_path / "split.json", json.dumps(
+        {"qubits": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]}))
+
+
+MALFORMED = {
+    "cx-same-qubit": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[0];")],
+    "ccx": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "ccx q[0],q[1],q[2];", n=3)],
+    "circuit-larger-than-platform": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[19];", n=20)],
+    "circuit-without-qubits": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "", n=0)],
+    "disconnected-platform-subarch": lambda t: [
+        "subarch", "--platform", _two_triangles(t), "--size", "3"],
+    "disconnected-platform-map": lambda t: [
+        "map", "--platform", _two_triangles(t), "--circuit",
+        _qasm_file(t, "cx q[0],q[1];")],
+    "layout-not-json": lambda t: [
+        "verify", "--platform", "guadalupe",
+        "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", _qasm_file(t, "cx q[0],q[1];"),
+        "--layout", _write(t / "layout.json", "{0: 1")],
+    "manifest-row-without-k": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe"}]')],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_a_message(runner, tmp_path, case):
+    res = runner.invoke(main, MALFORMED[case](tmp_path))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: " in res.output and "Traceback" not in res.output
 
 
 class TestBench:

@@ -1,14 +1,10 @@
 import json
-import random
 
 import pytest
 
-from subarchmap import (CouplingGraph, connected_components, induced_subgraph,
-                        is_connected, load_platform, parse_platform,
-                        spanning_tree)
+from subarchmap import (CouplingGraph, induced_subgraph, is_connected,
+                        load_platform, parse_platform)
 from subarchmap.graphs import PlatformError
-
-from conftest import random_connected_graph
 
 
 def path_graph(n):
@@ -104,11 +100,6 @@ def test_is_connected_small_cases():
     assert not is_connected(CouplingGraph(range(3), [(0, 1)]))
 
 
-def test_connected_components_partition():
-    g = CouplingGraph(range(6), [(0, 1), (2, 3), (3, 4)])
-    assert connected_components(g) == [(0, 1), (2, 3, 4), (5,)]
-
-
 def test_induced_subgraph_keeps_labels():
     g = path_graph(5)
     sub = induced_subgraph(g, [1, 2, 4])
@@ -117,20 +108,3 @@ def test_induced_subgraph_keeps_labels():
     with pytest.raises(ValueError):
         induced_subgraph(g, [0, 9])
 
-
-def test_spanning_tree_structure():
-    rng = random.Random(3)
-    for _ in range(20):
-        g = random_connected_graph(rng, rng.randrange(2, 9))
-        parent = spanning_tree(g)
-        assert set(parent) == set(g.vertices)
-        roots = [v for v, p in parent.items() if p is None]
-        assert roots == [min(g.vertices)]
-        for v, p in parent.items():
-            if p is not None:
-                assert g.has_edge(v, p)
-
-
-def test_spanning_tree_rejects_disconnected():
-    with pytest.raises(ValueError, match="disconnected"):
-        spanning_tree(CouplingGraph(range(4), [(0, 1)]))

@@ -1,11 +1,13 @@
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from subarchmap import (CouplingGraph, find_embedding, is_isomorphic,
                         subgraph_isomorphic, wl_hash)
 
-from conftest import random_connected_graph, relabel_graph
+from conftest import random_connected_graph, relabel_graph, to_networkx
 
 
 def cycle(n, offset=0):
@@ -88,3 +90,41 @@ class TestWlHash:
         g = cycle(5)
         assert wl_hash(g, 1) != wl_hash(g, 3)
         assert wl_hash(g, 1) == wl_hash(cycle(5), 1)
+
+
+def vf2(host, pattern):
+    """networkx's VF2 matcher over copies of two graphs."""
+    iso = pytest.importorskip("networkx.algorithms.isomorphism")
+    return iso.GraphMatcher(to_networkx(host), to_networkx(pattern))
+
+
+def corpus(seed, count):
+    rng = random.Random(seed)
+    return [random_connected_graph(rng, rng.randrange(2, 8)) for _ in range(count)]
+
+
+class TestAgainstNetworkxVf2:
+    def test_is_isomorphic(self):
+        graphs = corpus(41, 60)
+        rng = random.Random(42)
+        # relabeled copies make sure the positive answer is exercised often
+        for g in graphs[:20]:
+            verts = list(g.vertices)
+            rng.shuffle(verts)
+            graphs.append(relabel_graph(g, dict(zip(g.vertices, verts))))
+        answers = set()
+        for a, b in itertools.product(graphs, repeat=2):
+            if a.num_vertices == b.num_vertices:
+                want = vf2(b, a).is_isomorphic()
+                assert is_isomorphic(a, b) == want, (a.edges, b.edges)
+                answers.add(want)
+        assert answers == {True, False}
+
+    def test_subgraph_isomorphic(self):
+        answers = set()
+        for pattern, host in itertools.product(corpus(43, 40), corpus(44, 40)):
+            want = vf2(host, pattern).subgraph_is_monomorphic()
+            assert subgraph_isomorphic(pattern, host) == want, (pattern.edges, host.edges)
+            assert (find_embedding(pattern, host) is not None) == want
+            answers.add(want)
+        assert answers == {True, False}

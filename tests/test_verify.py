@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +110,11 @@ class TestLifting:
         r = map_optimal(c, tri)
         with pytest.raises(ValueError, match="does not embed"):
             lift_to_platform(r, path(4))
+
+
+def test_readme_library_imports_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    imports = re.findall(r"^from subarchmap import \([^)]*\)", readme, re.MULTILINE)
+    assert imports and any("verify_result" in line for line in imports)
+    for line in imports:
+        exec(line, {})
