@@ -91,9 +91,6 @@ class Allocation:
         if len(set(targets)) != len(targets):
             raise ValueError("allocation is not injective")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.forward)
-
     def inverse(self) -> dict[int, int]:
         """Physical -> logical for allocated qubits; missing keys mean unallocated."""
         return {p: q for q, p in self.forward}

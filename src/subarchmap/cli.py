@@ -13,8 +13,7 @@ from .circuits import (LOGICAL, PHYSICAL, Allocation, Circuit, emit_qasm,
 from .graphs import CouplingGraph, PlatformError, is_connected, load_platform
 from .maximal import BudgetExceeded, Deadline, max_subarchitectures
 from .mapper import map_optimal
-from .strategy import (ORDER_DENSE_FIRST, ORDER_INSERTION, StrategyConfig,
-                       map_with_subarch, optimality_certificate)
+from .strategy import StrategyConfig, map_with_subarch, optimality_certificate
 from .subgraphs import connected_subgraphs
 from .verify import RELAXED, STRICT, check_equivalence, check_feasibility, make_verdict
 
@@ -61,13 +60,9 @@ def _print_row_table(rows: list[dict]) -> None:
 @click.option("--emit", "emit_dir", type=click.Path(), default=None,
               help="Write each maximal member as a platform JSON file.")
 @click.option("--cache", "cache_dir", type=click.Path(), default=None)
-@click.option("--wl-iterations", type=int, default=3)
-@click.option("--trust-hash", is_flag=True,
-              help="Skip exact isomorphism checks inside hash buckets.")
 @click.option("--budget", type=float, default=None, help="Wall-clock budget (s).")
 @click.option("--json", "as_json", is_flag=True)
-def subarch(platform, k, stage, list_members, emit_dir, cache_dir, wl_iterations,
-            trust_hash, budget, as_json):
+def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_json):
     """Enumerate subarchitectures; prints a benchmark-table style row."""
     g = _load(platform, connected=True)
     if not 1 <= k <= g.num_vertices:
@@ -84,9 +79,7 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, wl_iterations
             out = {"platform": g.name or platform, "k": k, "connected": count}
             click.echo(json.dumps(out) if as_json else f"connected: {count}")
             return
-        ss = max_subarchitectures(g, k, wl_iterations=wl_iterations,
-                                  trust_hash=trust_hash, deadline=deadline,
-                                  cache_dir=cache_dir)
+        ss = max_subarchitectures(g, k, deadline=deadline, cache_dir=cache_dir)
     except BudgetExceeded:
         click.echo("TO")
         sys.exit(EXIT_BUDGET)
@@ -112,41 +105,43 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, wl_iterations
 @main.command(name="map")
 @click.option("--platform", required=True)
 @click.option("--circuit", "circuit_path", type=click.Path(exists=True), required=True)
-@click.option("--bound", type=int, default=None, help="Initial swap bound.")
+@click.option("--bound", type=click.IntRange(min=0), default=None,
+              help="Initial swap bound.")
 @click.option("--full-architecture", is_flag=True,
               help="Map directly onto the whole platform, no subarchitectures.")
 @click.option("--ancillas", default="2",
               help='Max ancilla qubits, or "until-full".')
-@click.option("--order", type=click.Choice([ORDER_DENSE_FIRST, ORDER_INSERTION]),
-              default=ORDER_DENSE_FIRST)
 @click.option("--cache", "cache_dir", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write mapped QASM here (default: stdout).")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the machine-readable run report here.")
-def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, order,
-            cache_dir, out_path, report_path):
+def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_dir,
+            out_path, report_path):
     """Map a circuit; emits mapped QASM plus a JSON summary."""
     g = _load(platform, connected=True)
     circ = _parse(Path(circuit_path).read_text(), "--circuit")
     if not 1 <= circ.n_qubits <= g.num_vertices:
         raise click.BadParameter(f"circuit has {circ.n_qubits} qubits, platform "
                                  f"has {g.num_vertices}", param_hint="--circuit")
+    if ancillas == "until-full":
+        max_anc = None
+    else:
+        try:
+            max_anc = int(ancillas)
+        except ValueError:
+            max_anc = -1
+        if max_anc < 0:
+            raise click.UsageError(
+                '--ancillas takes a non-negative integer or "until-full"')
     report_doc: dict = {}
     if full_architecture:
         result = map_optimal(circ, g, bound=bound)
         if result is not None:
             report_doc["map_calls"] = 1
     else:
-        if ancillas == "until-full":
-            max_anc = None
-        else:
-            try:
-                max_anc = int(ancillas)
-            except ValueError:
-                raise click.UsageError('--ancillas takes an integer or "until-full"')
         cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound,
-                             member_order=order, cache_dir=cache_dir)
+                             cache_dir=cache_dir)
         strat = map_with_subarch(g, circ, cfg)
         result = strat.result
         report_doc = {

@@ -1,39 +1,31 @@
 """Graph hashing and (sub)graph isomorphism tests.
 
-The hash is a Weisfeiler-Lehman color refinement digest: isomorphic graphs
-always collide, non-isomorphic ones almost never do. Both exact checks run
-one backtracking monomorphism matcher with degree-based pruning.
+The hash is a Weisfeiler-Lehman color refinement: isomorphic graphs always
+collide, and most non-isomorphic ones do not, so it only buckets graphs for
+the exact checks. Both exact checks run one backtracking monomorphism matcher
+with degree-based pruning.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 from .graphs import CouplingGraph
 
-DEFAULT_WL_ITERATIONS = 3
 
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def wl_hash(g: CouplingGraph, iterations: int = DEFAULT_WL_ITERATIONS) -> str:
+def wl_hash(g: CouplingGraph, iterations: int = 3) -> int:
     """Weisfeiler-Lehman graph hash, invariant under vertex relabeling.
 
-    Initial colors are vertex degrees; each round re-colors a vertex with a
-    digest of its own color and the sorted multiset of neighbor colors. The
-    final value digests the sorted multiset of colors together with the
-    vertex and edge counts.
+    Initial colors are vertex degrees; each round re-colors a vertex with the
+    hash of its own color and the sorted multiset of neighbor colors. The
+    result hashes the sorted multiset of colors together with the vertex and
+    edge counts. Colors are ints and Python does not salt the hash of int
+    tuples, so the value is stable across runs. Non-isomorphic graphs can
+    share a value: it is a bucket key, never a verdict.
     """
-    colors = {v: str(g.degree(v)) for v in g.vertices}
+    colors = {v: g.degree(v) for v in g.vertices}
     for _ in range(iterations):
-        colors = {
-            v: _digest(colors[v] + "|" + ",".join(sorted(colors[u] for u in g.neighbors(v))))
-            for v in g.vertices
-        }
-    summary = f"{g.num_vertices}:{g.num_edges}:" + ",".join(sorted(colors.values()))
-    return _digest(summary)
+        colors = {v: hash((colors[v], tuple(sorted(colors[u] for u in g.neighbors(v)))))
+                  for v in g.vertices}
+    return hash((g.num_vertices, g.num_edges, tuple(sorted(colors.values()))))
 
 
 def _match(pattern: CouplingGraph, host: CouplingGraph) -> dict[int, int] | None:

@@ -1,8 +1,8 @@
 """Maximal connected k-subarchitectures of a platform.
 
 Pipeline: enumerate connected induced k-subgraphs, drop isomorphic duplicates
-via hash buckets, then keep only the subgraphs that are maximal under
-subgraph isomorphism (no member embeds into another member).
+by exact checks within hash buckets, then keep only the subgraphs that are
+maximal under subgraph isomorphism (no member embeds into another member).
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graphs import CouplingGraph, induced_subgraph
-from .iso import DEFAULT_WL_ITERATIONS, is_isomorphic, subgraph_isomorphic, wl_hash
+from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
 from .subgraphs import connected_subgraphs, count_all_subsets
+
+CACHE_FORMAT = 2  # bump whenever files written before may differ from a fresh run
 
 
 class BudgetExceeded(Exception):
@@ -38,7 +40,6 @@ class Deadline:
 class SubarchSet:
     """Result of the maximal-subarchitecture pipeline for one (platform, k).
 
-    wl_iterations and trust_hash are the settings it was computed under;
     cached is True when it was replayed from a cache file, whose stage_times
     are those of the run that wrote it.
     """
@@ -48,8 +49,6 @@ class SubarchSet:
     members: list[CouplingGraph]
     stage_counts: dict[str, int] = field(default_factory=dict)
     stage_times: dict[str, float] = field(default_factory=dict)
-    wl_iterations: int = DEFAULT_WL_ITERATIONS
-    trust_hash: bool = False
     cached: bool = False
 
     def counts_row(self) -> tuple[int, int, int, int]:
@@ -58,16 +57,14 @@ class SubarchSet:
 
 
 def max_subarchitectures(g: CouplingGraph, k: int, *,
-                         wl_iterations: int = DEFAULT_WL_ITERATIONS,
-                         trust_hash: bool = False,
                          deadline: Deadline | None = None,
                          cache_dir: str | Path | None = None) -> SubarchSet:
     """All maximal, connected, pairwise non-subgraph-isomorphic k-subgraphs of g.
 
     First pass, streaming: each connected k-subset is hashed and opens a new
-    isomorphism class when no isomorphic graph sits in its hash bucket (with
-    trust_hash a non-empty bucket is trusted without the exact check, which
-    may rarely drop a class).
+    isomorphism class unless is_isomorphic confirms a graph in its hash
+    bucket. The hash only narrows the exact checks; it never decides a class,
+    since non-isomorphic graphs may share a WL hash.
 
     Second pass, densest class first: a class is kept unless it embeds into
     an already-kept class with strictly more edges. Classes are pairwise
@@ -77,14 +74,13 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     Members are returned in the order their classes were first seen.
     """
     if cache_dir is not None:
-        cached = load_cached(g, k, cache_dir, wl_iterations=wl_iterations,
-                             trust_hash=trust_hash)
+        cached = load_cached(g, k, cache_dir)
         if cached is not None:
             return cached
 
     deadline = deadline or Deadline(None)
     connected = 0
-    buckets: dict[str, list[CouplingGraph]] = {}
+    buckets: dict[int, list[CouplingGraph]] = {}
     classes: list[CouplingGraph] = []
     t_conn = t_iso = 0.0
 
@@ -100,10 +96,8 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
 
         t0 = time.perf_counter()
         sub = induced_subgraph(g, subset)
-        bucket = buckets.setdefault(wl_hash(sub, wl_iterations), [])
-        seen = bucket and (trust_hash or any(is_isomorphic(sub, other)
-                                             for other in bucket))
-        if not seen:
+        bucket = buckets.setdefault(wl_hash(sub), [])
+        if not any(is_isomorphic(sub, other) for other in bucket):
             bucket.append(sub)
             classes.append(sub)
         t_iso += time.perf_counter() - t0
@@ -127,27 +121,24 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     }
     times = {"connected": t_conn, "noniso": t_iso, "max": t_max,
              "total": t_conn + t_iso + t_max}
-    result = SubarchSet(g, k, members, counts, times, wl_iterations, trust_hash)
+    result = SubarchSet(g, k, members, counts, times)
     if cache_dir is not None:
         save_cached(result, cache_dir)
     return result
 
 
-def _cache_path(g: CouplingGraph, k: int, cache_dir: str | Path,
-                wl_iterations: int, trust_hash: bool) -> Path:
-    check = "hash" if trust_hash else "exact"
-    return Path(cache_dir) / f"{g.digest()[:16]}-k{k}-wl{wl_iterations}-{check}.json"
+def _cache_path(g: CouplingGraph, k: int, cache_dir: str | Path) -> Path:
+    return Path(cache_dir) / f"{g.digest()[:16]}-k{k}-f{CACHE_FORMAT}.json"
 
 
 def save_cached(ss: SubarchSet, cache_dir: str | Path) -> Path:
-    """Write ss under a key of its platform, k and settings, atomically."""
-    path = _cache_path(ss.platform, ss.k, cache_dir, ss.wl_iterations, ss.trust_hash)
+    """Write ss under a key of its platform, k and the format, atomically."""
+    path = _cache_path(ss.platform, ss.k, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "platform_digest": ss.platform.digest(),
         "k": ss.k,
-        "wl_iterations": ss.wl_iterations,
-        "trust_hash": ss.trust_hash,
+        "format": CACHE_FORMAT,
         "members": [sorted(m.vertices) for m in ss.members],
         "stage_counts": ss.stage_counts,
         "stage_times": ss.stage_times,
@@ -161,20 +152,17 @@ def save_cached(ss: SubarchSet, cache_dir: str | Path) -> Path:
     return path
 
 
-def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path, *,
-                wl_iterations: int = DEFAULT_WL_ITERATIONS,
-                trust_hash: bool = False) -> SubarchSet | None:
-    """The cached result for these settings, or None on a missing, unreadable
-    or mismatched file."""
-    path = _cache_path(g, k, cache_dir, wl_iterations, trust_hash)
+def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path) -> SubarchSet | None:
+    """The cached result for (g, k), or None on a missing or unreadable file,
+    or one written for another platform, k or CACHE_FORMAT."""
+    path = _cache_path(g, k, cache_dir)
     try:
         doc = json.loads(path.read_text())
-        if (doc["platform_digest"], doc["k"], doc["wl_iterations"],
-                doc["trust_hash"]) != (g.digest(), k, wl_iterations, trust_hash):
+        if (doc["platform_digest"], doc["k"], doc["format"]) \
+                != (g.digest(), k, CACHE_FORMAT):
             return None
         members = [induced_subgraph(g, vs) for vs in doc["members"]]
         return SubarchSet(g, k, members, dict(doc["stage_counts"]),
-                          dict(doc["stage_times"]), wl_iterations, trust_hash,
-                          cached=True)
+                          dict(doc["stage_times"]), cached=True)
     except (OSError, ValueError, KeyError, TypeError):
         return None

@@ -1,8 +1,8 @@
 """Mapping with maximal subarchitectures and an increasing ancilla budget.
 
 For each size k from n upward, the circuit is mapped onto every maximal
-k-subarchitecture under the current swap bound; every success tightens the
-bound to S-1, and a zero-swap success returns immediately.
+k-subarchitecture, densest first, under the current swap bound; every success
+tightens the bound to S-1, and a zero-swap success returns immediately.
 """
 
 from __future__ import annotations
@@ -15,17 +15,11 @@ from .graphs import CouplingGraph, is_connected
 from .mapper import MapResult, map_optimal
 from .maximal import Deadline, max_subarchitectures
 
-ORDER_DENSE_FIRST = "dense-first"
-ORDER_INSERTION = "insertion"
-
 
 @dataclass
 class StrategyConfig:
     max_ancillas: int | None = 2  # None: keep going until k = |P|
     initial_bound: int | None = None  # None: unbounded, as in the base loop
-    member_order: str = ORDER_DENSE_FIRST
-    wl_iterations: int = 3
-    trust_hash: bool = False
     cache_dir: str | Path | None = None
 
 
@@ -63,6 +57,8 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
         raise ValueError("circuit larger than platform")
     if not is_connected(g):
         raise ValueError("platform must be connected")
+    if cfg.max_ancillas is not None and cfg.max_ancillas < 0:
+        raise ValueError("max_ancillas must be non-negative")
 
     k_max = g.num_vertices if cfg.max_ancillas is None \
         else min(g.num_vertices, n + cfg.max_ancillas)
@@ -71,13 +67,10 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
     report = StrategyReport(None, None, None, 0)
 
     for k in range(n, k_max + 1):
-        subarchs = max_subarchitectures(
-            g, k, wl_iterations=cfg.wl_iterations, trust_hash=cfg.trust_hash,
-            deadline=deadline, cache_dir=cfg.cache_dir)
-        members = list(subarchs.members)
-        if cfg.member_order == ORDER_DENSE_FIRST:
-            members.sort(key=lambda m: -m.num_edges)  # stable: ties keep insertion order
-        for member in members:
+        subarchs = max_subarchitectures(g, k, deadline=deadline,
+                                        cache_dir=cfg.cache_dir)
+        # stable: members with equal edge counts keep their first-seen order
+        for member in sorted(subarchs.members, key=lambda m: -m.num_edges):
             if deadline is not None:
                 deadline.check()
             report.map_calls += 1

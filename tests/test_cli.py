@@ -215,6 +215,15 @@ MALFORMED = {
         "--circuit", _qasm_file(t, "cx q[0],q[1];"),
         "--mapped", _qasm_file(t, "cx q[0],q[1];"),
         "--layout", _write(t / "layout.json", "{0: 1")],
+    "negative-ancillas": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[1];"), "--ancillas", "-1"],
+    "negative-ancillas-full-architecture": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[1];"), "--ancillas", "-1", "--full-architecture"],
+    "negative-bound": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[1];"), "--bound", "-1"],
     "manifest-row-without-k": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe"}]')],
 }

@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from subarchmap import (CouplingGraph, connected_subgraphs, induced_subgraph,
                         is_isomorphic, load_platform, max_subarchitectures,
-                        subgraph_isomorphic)
-from subarchmap.maximal import BudgetExceeded, Deadline, load_cached, save_cached
+                        subgraph_isomorphic, wl_hash)
+from subarchmap.maximal import (CACHE_FORMAT, BudgetExceeded, Deadline, load_cached,
+                                save_cached)
 
 from conftest import naive_connected_subsets, random_connected_graph, to_networkx
 
@@ -95,13 +97,21 @@ def test_stage_times_recorded():
     assert ss.stage_times["total"] >= 0
 
 
-def test_trust_hash_agrees_on_small_graphs():
-    rng = random.Random(7)
-    for _ in range(10):
-        g = random_connected_graph(rng, 7)
-        a = max_subarchitectures(g, 4)
-        b = max_subarchitectures(g, 4, trust_hash=True)
-        assert a.counts_row() == b.counts_row()
+def test_wl_collision_keeps_both_classes():
+    # The triangular prism (C3 x K2) and K3,3 are both 3-regular on 6 vertices,
+    # so WL refinement from degrees cannot tell them apart; one edge joins them.
+    prism = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    k33 = [(a, b) for a in (6, 7, 8) for b in (9, 10, 11)]
+    g = CouplingGraph(range(12), prism + k33 + [(5, 6)])
+    halves = [induced_subgraph(g, range(6)), induced_subgraph(g, range(6, 12))]
+    assert wl_hash(halves[0]) == wl_hash(halves[1])
+    assert not is_isomorphic(*halves)
+    ss = max_subarchitectures(g, 6)
+    members = {m.vertices for m in ss.members}
+    assert {h.vertices for h in halves} <= members
+    assert ss.counts_row() == (924, 135, 17, 4)
+    naive_classes, naive_max = naive_pipeline(g, 6)
+    assert (ss.stage_counts["noniso"], len(ss.members)) == (naive_classes, len(naive_max))
 
 
 def test_deadline_expires():
@@ -130,26 +140,33 @@ class TestCache:
         if other.digest() != g.digest():
             assert load_cached(other, 4, tmp_path) is None
 
-    def test_settings_are_part_of_the_key(self, tmp_path):
-        # With degree-only hashes trusted, the triangle-with-tail and the
-        # square-with-pendant 5-subgraphs collide and one class is lost.
+    def test_unversioned_file_is_not_served(self, tmp_path):
+        # Files named {digest16}-k{k}.json carry no format and may hold classes
+        # merged by a trusted hash; here one holds a wrong member list.
         g = CouplingGraph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
                                      (4, 5), (5, 2)])
         exact = max_subarchitectures(g, 5)
-        weak = max_subarchitectures(g, 5, wl_iterations=0, trust_hash=True,
-                                    cache_dir=tmp_path)
-        assert weak.counts_row() != exact.counts_row()
+        (tmp_path / f"{g.digest()[:16]}-k5.json").write_text(json.dumps({
+            "platform_digest": g.digest(), "k": 5, "members": [[0, 1, 2, 3, 4]],
+            "stage_counts": {"all_subsets": 6, "connected": 5, "noniso": 1, "max": 1},
+            "stage_times": {"connected": 0, "noniso": 0, "max": 0, "total": 0}}))
+        assert load_cached(g, 5, tmp_path) is None
         again = max_subarchitectures(g, 5, cache_dir=tmp_path)
-        assert again.counts_row() == exact.counts_row()
         assert not again.cached
-        assert max_subarchitectures(g, 5, cache_dir=tmp_path).cached
-        assert max_subarchitectures(g, 5, wl_iterations=0, trust_hash=True,
-                                    cache_dir=tmp_path).counts_row() == weak.counts_row()
-        for setting in ({"trust_hash": True}, {"wl_iterations": 2}):
-            cache = tmp_path / next(iter(setting))
-            max_subarchitectures(g, 5, cache_dir=cache, **setting)
-            assert max_subarchitectures(g, 5, cache_dir=cache, **setting).cached
-            assert not max_subarchitectures(g, 5, cache_dir=cache).cached
+        assert again.counts_row() == exact.counts_row()
+        assert [m.vertices for m in again.members] == [m.vertices for m in exact.members]
+
+    def test_other_format_is_a_miss(self, tmp_path):
+        rng = random.Random(5)
+        g = random_connected_graph(rng, 6)
+        path = save_cached(max_subarchitectures(g, 3), tmp_path)
+        assert path.name.endswith(f"-f{CACHE_FORMAT}.json")
+        doc = json.loads(path.read_text())
+        assert doc["format"] == CACHE_FORMAT
+        path.write_text(json.dumps(dict(doc, format=1)))
+        assert load_cached(g, 3, tmp_path) is None
+        assert not max_subarchitectures(g, 3, cache_dir=tmp_path).cached
+        assert load_cached(g, 3, tmp_path).cached
 
     def test_unreadable_file_is_a_miss(self, tmp_path):
         rng = random.Random(4)
