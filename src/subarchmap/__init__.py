@@ -4,7 +4,7 @@ from .circuits import (Allocation, Circuit, Gate, circuits_equal, emit_qasm,
                        parse_qasm, unmap)
 from .graphs import (CouplingGraph, induced_subgraph, is_connected, load_platform,
                      parse_platform)
-from .iso import find_embedding, is_isomorphic, subgraph_isomorphic, wl_hash
+from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
 from .mapper import MapResult, brute_force_optimal, map_optimal
 from .maximal import SubarchSet, max_subarchitectures
 from .strategy import StrategyConfig, StrategyReport, map_with_subarch, optimality_certificate
@@ -17,7 +17,7 @@ __all__ = [
     "StrategyConfig", "StrategyReport", "SubarchSet", "Verdict",
     "brute_force_optimal", "check_equivalence", "check_feasibility",
     "circuits_equal", "connected_subgraphs", "count_all_subsets", "emit_qasm",
-    "find_embedding", "induced_subgraph", "is_connected", "is_isomorphic",
+    "induced_subgraph", "is_connected", "is_isomorphic",
     "lift_to_platform", "load_platform", "map_optimal", "map_with_subarch",
     "max_subarchitectures", "optimality_certificate", "parse_platform",
     "parse_qasm", "subgraph_isomorphic", "unmap", "verify_result", "wl_hash",

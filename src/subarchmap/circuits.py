@@ -69,9 +69,6 @@ class Circuit:
             elif any(q < 0 for q in g.qubits):
                 raise ValueError(f"negative physical label in {g}")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     def swap_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "swap")
 
@@ -120,7 +117,7 @@ def unmap(c: Circuit, a: Allocation) -> Circuit:
                 inv[i] = qj
         else:
             try:
-                out.append(Gate(g.name, tuple(inv[q] for q in g.qubits), g.params))
+                out.append(g.relabel(inv))
             except KeyError as exc:
                 raise UnmapError(
                     f"gate {idx} ({g.name}) acts on unallocated qubit {exc.args[0]}"
@@ -250,12 +247,6 @@ def circuits_equal(a: Circuit, b: Circuit, mode: str = "strict") -> bool:
     if mode == "relaxed":
         return normal_form(a) == normal_form(b)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def make_ring_circuit(n: int) -> Circuit:
-    """cx(0,1); cx(1,2); ...; cx(n-1,0) — the canonical ring of CX gates."""
-    gates = tuple(Gate("cx", (i, (i + 1) % n)) for i in range(n))
-    return Circuit(n, gates, LOGICAL)
 
 
 def gate_equivalent_cost(swaps: int) -> int:

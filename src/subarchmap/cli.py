@@ -57,9 +57,9 @@ def _print_row_table(rows: list[dict]) -> None:
 @click.option("--stage", type=click.Choice(["connected", "full"]), default="full")
 @click.option("--list", "list_members", is_flag=True,
               help="Print each vertex set, one sorted set per line.")
-@click.option("--emit", "emit_dir", type=click.Path(), default=None,
+@click.option("--emit", "emit_dir", type=click.Path(file_okay=False), default=None,
               help="Write each maximal member as a platform JSON file.")
-@click.option("--cache", "cache_dir", type=click.Path(), default=None)
+@click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--budget", type=float, default=None, help="Wall-clock budget (s).")
 @click.option("--json", "as_json", is_flag=True)
 def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_json):
@@ -111,7 +111,7 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
               help="Map directly onto the whole platform, no subarchitectures.")
 @click.option("--ancillas", default="2",
               help='Max ancilla qubits, or "until-full".')
-@click.option("--cache", "cache_dir", type=click.Path(), default=None)
+@click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write mapped QASM here (default: stdout).")
 @click.option("--report", "report_path", type=click.Path(), default=None,
@@ -144,13 +144,9 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_di
                              cache_dir=cache_dir)
         strat = map_with_subarch(g, circ, cfg)
         result = strat.result
-        report_doc = {
-            "map_calls": strat.map_calls,
-            "outcomes": [{"k": o.k, "subarch": list(o.subarch_vertices),
-                          "status": o.status, "swaps": o.swaps}
-                         for o in strat.outcomes],
-            "certificate": optimality_certificate(strat, g, cfg),
-        }
+        cert = optimality_certificate(strat, g, cfg)
+        report_doc = {"map_calls": strat.map_calls,
+                      "outcomes": cert["bound_chain"], "certificate": cert}
     if result is None:
         click.echo(json.dumps({"success": False}))
         sys.exit(EXIT_FAILURE)
@@ -207,13 +203,15 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
 @click.option("--manifest", type=click.Path(exists=True), required=True,
               help='JSON list of {"platform": ..., "k": ...} entries.')
 @click.option("--budget", type=float, default=None, help="Per-row budget (s).")
-@click.option("--cache", "cache_dir", type=click.Path(), default=None)
+@click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def bench(manifest, budget, cache_dir, as_json):
     """Run the subarchitecture pipeline over a manifest and render a table."""
     try:
-        entries = [(str(entry["platform"]), int(entry["k"]))
+        entries = [(str(entry["platform"]), entry["k"])
                    for entry in json.loads(Path(manifest).read_text())]
+        if not all(type(k) is int for _, k in entries):  # bool is an int subclass
+            raise ValueError("k must be a JSON integer")
     except (ValueError, KeyError, TypeError) as exc:
         raise click.BadParameter(f"not a list of {{platform, k}} rows: {exc!r}",
                                  param_hint="--manifest")

@@ -99,14 +99,17 @@ def parse_platform(text: str) -> CouplingGraph:
     if not isinstance(doc, dict) or "qubits" not in doc:
         raise PlatformError("platform document must be an object with a 'qubits' field")
     n = doc["qubits"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON true/false are bools, an int subclass
         raise PlatformError("'qubits' must be a non-negative integer")
+    items = doc.get("edges", [])
+    if not isinstance(items, list):
+        raise PlatformError(f"'edges' must be a list of [u, v] pairs: {items!r}")
     edges = []
-    for item in doc.get("edges", []):
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2):
             raise PlatformError(f"malformed edge entry: {item!r}")
         u, v = item
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise PlatformError(f"edge endpoints must be integers: {item!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise PlatformError(f"edge ({u},{v}) out of range for {n} qubits")

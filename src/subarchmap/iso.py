@@ -11,18 +11,18 @@ from __future__ import annotations
 from .graphs import CouplingGraph
 
 
-def wl_hash(g: CouplingGraph, iterations: int = 3) -> int:
+def wl_hash(g: CouplingGraph) -> int:
     """Weisfeiler-Lehman graph hash, invariant under vertex relabeling.
 
-    Initial colors are vertex degrees; each round re-colors a vertex with the
-    hash of its own color and the sorted multiset of neighbor colors. The
-    result hashes the sorted multiset of colors together with the vertex and
-    edge counts. Colors are ints and Python does not salt the hash of int
+    Initial colors are vertex degrees; each of three rounds re-colors a vertex
+    with the hash of its own color and the sorted multiset of neighbor colors.
+    The result hashes the sorted multiset of colors together with the vertex
+    and edge counts. Colors are ints and Python does not salt the hash of int
     tuples, so the value is stable across runs. Non-isomorphic graphs can
     share a value: it is a bucket key, never a verdict.
     """
     colors = {v: g.degree(v) for v in g.vertices}
-    for _ in range(iterations):
+    for _ in range(3):
         colors = {v: hash((colors[v], tuple(sorted(colors[u] for u in g.neighbors(v)))))
                   for v in g.vertices}
     return hash((g.num_vertices, g.num_edges, tuple(sorted(colors.values()))))
@@ -105,8 +105,3 @@ def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
     """
     return _match(pattern, host) is not None
 
-
-def find_embedding(pattern: CouplingGraph,
-                   host: CouplingGraph) -> dict[int, int] | None:
-    """Return a monomorphism witness pattern-vertex -> host-vertex, or None."""
-    return _match(pattern, host)

@@ -33,18 +33,30 @@ class MemberOutcome:
 
 @dataclass
 class StrategyReport:
-    result: MapResult | None
-    swaps: int | None
-    ancillas: int | None
-    map_calls: int
+    """The best result found and one outcome per map_optimal call, in call order.
+
+    Every other fact about the run is derived from these two fields.
+    """
+    result: MapResult | None = None
     outcomes: list[MemberOutcome] = field(default_factory=list)
 
     @property
     def success(self) -> bool:
         return self.result is not None
 
-    def successful_swaps(self) -> list[int]:
-        return [o.swaps for o in self.outcomes if o.status == "success"]
+    @property
+    def swaps(self) -> int | None:
+        return None if self.result is None else self.result.swaps
+
+    @property
+    def ancillas(self) -> int | None:
+        # the mapper allocates every logical qubit, so the rest are ancillas
+        r = self.result
+        return None if r is None else r.subarch.num_vertices - len(r.initial)
+
+    @property
+    def map_calls(self) -> int:
+        return len(self.outcomes)
 
 
 def map_with_subarch(g: CouplingGraph, c: Circuit,
@@ -63,8 +75,7 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
     k_max = g.num_vertices if cfg.max_ancillas is None \
         else min(g.num_vertices, n + cfg.max_ancillas)
     bound = cfg.initial_bound
-    best: MapResult | None = None
-    report = StrategyReport(None, None, None, 0)
+    report = StrategyReport()
 
     for k in range(n, k_max + 1):
         subarchs = max_subarchitectures(g, k, deadline=deadline,
@@ -73,7 +84,6 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
         for member in sorted(subarchs.members, key=lambda m: -m.num_edges):
             if deadline is not None:
                 deadline.check()
-            report.map_calls += 1
             result = map_optimal(c, member, bound=bound)
             if result is None:
                 report.outcomes.append(
@@ -81,20 +91,11 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
                 continue
             report.outcomes.append(
                 MemberOutcome(k, member.vertices, "success", result.swaps))
-            best = result
+            report.result = result
             if result.swaps == 0:
-                _finish(report, best, n)
                 return report
             bound = result.swaps - 1
-    _finish(report, best, n)
     return report
-
-
-def _finish(report: StrategyReport, best: MapResult | None, n: int) -> None:
-    report.result = best
-    if best is not None:
-        report.swaps = best.swaps
-        report.ancillas = best.subarch.num_vertices - n
 
 
 def optimality_certificate(report: StrategyReport, g: CouplingGraph,

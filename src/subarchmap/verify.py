@@ -1,16 +1,15 @@
 """Independent checking of mapped circuits: feasibility, equivalence, lifting.
 
 This module is the trusted base for the test suite: it shares the data types
-with the mapper but none of its search code.
+with the mapper but none of its search code, and no isomorphism code at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuits import (Allocation, Circuit, UnmapError, circuits_equal, unmap)
+from .circuits import Allocation, Circuit, UnmapError, circuits_equal, unmap
 from .graphs import CouplingGraph
-from .iso import find_embedding
 from .mapper import MapResult
 
 STRICT = "strict"
@@ -77,21 +76,12 @@ def verify_result(original: Circuit, result: MapResult, g: CouplingGraph,
 def lift_to_platform(r: MapResult, g: CouplingGraph) -> MapResult:
     """Re-target a result from its subarchitecture to the full platform.
 
-    When the subarchitecture keeps platform labels the identity embedding is
-    used (after checking it really is one); otherwise an embedding is searched
-    for. Swap count is unchanged.
+    A subarchitecture is an induced subgraph that keeps the platform's labels,
+    so the lift is the identity embedding. This checks that r.subarch is a
+    labelled subgraph of g (both store each edge as (u, v) with u < v), then
+    widens the register; nothing is relabeled and the swap count is unchanged.
     """
-    sub = r.subarch
-    if set(sub.vertices) <= set(g.vertices) and \
-            all(g.has_edge(u, v) for u, v in sub.edges):
-        h = {v: v for v in sub.vertices}
-    else:
-        h = find_embedding(sub, g)
-        if h is None:
-            raise ValueError("subarchitecture does not embed into the platform")
-    mapped = Circuit(max(g.vertices) + 1,
-                     tuple(gate.relabel(h) for gate in r.mapped.gates),
-                     r.mapped.space)
-    initial = Allocation.from_dict(
-        {q: h[p] for q, p in r.initial.forward})
-    return MapResult(mapped, initial, r.swaps, g)
+    if not (set(r.subarch.vertices) <= set(g.vertices) and r.subarch.edges <= g.edges):
+        raise ValueError("subarchitecture does not embed into the platform")
+    mapped = Circuit(max(g.vertices) + 1, r.mapped.gates, r.mapped.space)
+    return MapResult(mapped, r.initial, r.swaps, g)

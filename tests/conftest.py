@@ -37,6 +37,11 @@ def random_connected_graph(rng: random.Random, n: int,
     return CouplingGraph(range(n), edges)
 
 
+def make_ring_circuit(n: int) -> Circuit:
+    """cx(0,1); cx(1,2); ...; cx(n-1,0): the canonical ring of CX gates."""
+    return Circuit(n, tuple(Gate("cx", (i, (i + 1) % n)) for i in range(n)))
+
+
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int) -> Circuit:
     gates = []
     for _ in range(n_gates):

@@ -10,13 +10,12 @@ from subarchmap import (StrategyConfig, brute_force_optimal, connected_subgraphs
                         induced_subgraph, is_isomorphic, lift_to_platform,
                         load_platform, map_optimal, map_with_subarch,
                         max_subarchitectures, wl_hash)
-from subarchmap.circuits import make_ring_circuit
 from subarchmap.graphs import CouplingGraph
 from subarchmap.maximal import BudgetExceeded, Deadline
 from subarchmap.mapper import OracleLimitError
 from subarchmap.verify import verify_result
 
-from conftest import (naive_connected_subsets, random_circuit,
+from conftest import (make_ring_circuit, naive_connected_subsets, random_circuit,
                       random_connected_graph, relabel_graph)
 
 GUADALUPE_ROWS = {4: (1820, 24, 2, 2), 8: (12870, 55, 5, 5),
@@ -186,7 +185,7 @@ def test_criterion_9_monotonicity(mapping_corpus):
     chain_violations = 0
     ancilla_violations = 0
     for inst in instances:
-        succ = inst["report"].successful_swaps()
+        succ = [o.swaps for o in inst["report"].outcomes if o.status == "success"]
         if any(b >= a for a, b in zip(succ, succ[1:])):
             chain_violations += 1
         g, c, n = inst["g"], inst["c"], inst["n"]

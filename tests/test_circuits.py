@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from subarchmap import Allocation, Circuit, Gate, circuits_equal, unmap
 from subarchmap.circuits import (PHYSICAL, QasmError, UnmapError, emit_qasm,
-                                 gate_equivalent_cost, make_ring_circuit,
-                                 normal_form, parse_layout_comments, parse_qasm)
+                                 gate_equivalent_cost, normal_form,
+                                 parse_layout_comments, parse_qasm)
 
 
 class TestGate:
@@ -163,12 +163,6 @@ class TestEquivalence:
         c = Circuit(4, tuple(gates))
         assert sorted(normal_form(c), key=repr) == sorted(gates, key=repr)
         assert circuits_equal(c, Circuit(4, normal_form(c)), "relaxed")
-
-
-def test_make_ring_circuit():
-    c = make_ring_circuit(4)
-    assert c.gates == (Gate("cx", (0, 1)), Gate("cx", (1, 2)),
-                       Gate("cx", (2, 3)), Gate("cx", (3, 0)))
 
 
 def test_gate_equivalent_cost():

@@ -76,6 +76,13 @@ class TestSubarch:
         assert (first["cached"], again["cached"]) == (False, True)
         assert first["max"] == again["max"]
 
+    def test_cache_dir_that_does_not_exist_yet(self, runner, c5_path, tmp_path):
+        cache = tmp_path / "new" / "cache"
+        res = runner.invoke(main, ["subarch", "--platform", c5_path, "--size", "3",
+                                   "--cache", str(cache)])
+        assert res.exit_code == 0, res.output
+        assert list(cache.glob("*.json"))
+
     def test_budget_expiry(self, runner):
         res = runner.invoke(main, ["subarch", "--platform", "tokyo",
                                    "--size", "10", "--budget", "0.01"])
@@ -188,6 +195,10 @@ def _qasm_file(tmp_path, body, n=2):
     return _write(tmp_path / "in.qasm", f"OPENQASM 2.0;\nqreg q[{n}];\n{body}\n")
 
 
+def _platform_file(tmp_path, doc):
+    return _write(tmp_path / "platform.json", doc)
+
+
 def _two_triangles(tmp_path):
     return _write(tmp_path / "split.json", json.dumps(
         {"qubits": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]}))
@@ -226,6 +237,35 @@ MALFORMED = {
         _qasm_file(t, "cx q[0],q[1];"), "--bound", "-1"],
     "manifest-row-without-k": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe"}]')],
+    "manifest-k-bool": lambda t: [
+        "bench", "--manifest",
+        _write(t / "m.json", '[{"platform": "guadalupe", "k": true}]')],
+    "manifest-k-float": lambda t: [
+        "bench", "--manifest",
+        _write(t / "m.json", '[{"platform": "guadalupe", "k": 2.7}]')],
+    "manifest-k-string": lambda t: [
+        "bench", "--manifest",
+        _write(t / "m.json", '[{"platform": "guadalupe", "k": "4"}]')],
+    "edges-null": lambda t: [
+        "subarch", "--platform", _platform_file(t, '{"qubits": 3, "edges": null}'),
+        "--size", "2"],
+    "edges-not-a-list": lambda t: [
+        "map", "--platform", _platform_file(t, '{"qubits": 3, "edges": 5}'),
+        "--circuit", _qasm_file(t, "cx q[0],q[1];")],
+    "qubits-bool": lambda t: [
+        "subarch", "--platform", _platform_file(t, '{"qubits": true}'), "--size", "1"],
+    "emit-is-a-file": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "2",
+        "--emit", _write(t / "out", "")],
+    "cache-is-a-file-subarch": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "2",
+        "--cache", _write(t / "cache", "")],
+    "cache-is-a-file-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--cache", _write(t / "cache", "")],
+    "cache-is-a-file-bench": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
+        "--cache", _write(t / "cache", "")],
 }
 
 
@@ -256,6 +296,17 @@ class TestBench:
         res = runner.invoke(main, ["bench", "--manifest", str(manifest)])
         assert res.exit_code == 1
         assert "nowhere" in res.output
+
+    def test_manifest_platform_of_wrong_shape_is_an_error_row(self, runner, tmp_path):
+        platform = _platform_file(tmp_path, '{"qubits": 3, "edges": null}')
+        manifest = _write(tmp_path / "m.json",
+                          json.dumps([{"platform": platform, "k": 2},
+                                      {"platform": "guadalupe", "k": 2}]))
+        res = runner.invoke(main, ["bench", "--manifest", manifest, "--json"])
+        assert res.exit_code == 1, res.output
+        rows = json.loads(res.output)["rows"]
+        assert "'edges' must be a list" in rows[0]["error"]
+        assert rows[1]["connected"] == 16
 
     def test_manifest_timeout(self, runner, tmp_path):
         manifest = tmp_path / "m.json"

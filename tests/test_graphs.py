@@ -73,6 +73,25 @@ class TestParsePlatform:
         with pytest.raises(PlatformError):
             parse_platform('{"edges": []}')
 
+    @pytest.mark.parametrize("doc, match", [
+        ('[3]', "must be an object"),
+        ('{"qubits": -1}', "non-negative integer"),
+        ('{"qubits": 2.0}', "non-negative integer"),
+        ('{"qubits": "3"}', "non-negative integer"),
+        ('{"qubits": true}', "non-negative integer"),
+        ('{"qubits": 3, "edges": null}', "'edges' must be a list"),
+        ('{"qubits": 3, "edges": 5}', "'edges' must be a list"),
+        ('{"qubits": 3, "edges": {"0": 1}}', "'edges' must be a list"),
+        ('{"qubits": 3, "edges": [[0, 1, 2]]}', "malformed edge entry"),
+        ('{"qubits": 3, "edges": [5]}', "malformed edge entry"),
+        ('{"qubits": 3, "edges": [[0, 1.0]]}', "endpoints must be integers"),
+        ('{"qubits": 3, "edges": [[true, false]]}', "endpoints must be integers"),
+        ('{"qubits": 3, "edges": [[1, 1]]}', "self-loop"),
+    ])
+    def test_rejects_malformed_document(self, doc, match):
+        with pytest.raises(PlatformError, match=match):
+            parse_platform(doc)
+
 
 class TestLoadPlatform:
     def test_builtin_guadalupe(self):

@@ -4,15 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subarchmap import (CouplingGraph, find_embedding, is_isomorphic,
-                        subgraph_isomorphic, wl_hash)
+from subarchmap import CouplingGraph, is_isomorphic, subgraph_isomorphic, wl_hash
 
 from conftest import random_connected_graph, relabel_graph, to_networkx
 
 
-def cycle(n, offset=0):
-    return CouplingGraph([offset + i for i in range(n)],
-                         [(offset + i, offset + (i + 1) % n) for i in range(n)])
+def cycle(n):
+    return CouplingGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
@@ -60,17 +58,6 @@ class TestSubgraphIsomorphic:
         assert subgraph_isomorphic(star, k_star := CouplingGraph(
             range(5), [(2, 0), (2, 1), (2, 3), (2, 4)]))
 
-    def test_embedding_witness_valid(self):
-        h = find_embedding(path(3), cycle(6, offset=10))
-        assert h is not None
-        host = cycle(6, offset=10)
-        for u, v in path(3).edges:
-            assert host.has_edge(h[u], h[v])
-        assert len(set(h.values())) == 3
-
-    def test_embedding_none(self):
-        assert find_embedding(cycle(3), path(5)) is None
-
 
 class TestWlHash:
     @settings(max_examples=60, deadline=None)
@@ -85,11 +72,6 @@ class TestWlHash:
     def test_distinguishes_path_and_star(self):
         star = CouplingGraph(range(4), [(0, 1), (0, 2), (0, 3)])
         assert wl_hash(path(4)) != wl_hash(star)
-
-    def test_iterations_change_value_not_soundness(self):
-        g = cycle(5)
-        assert wl_hash(g, 1) != wl_hash(g, 3)
-        assert wl_hash(g, 1) == wl_hash(cycle(5), 1)
 
 
 def vf2(host, pattern):
@@ -125,6 +107,5 @@ class TestAgainstNetworkxVf2:
         for pattern, host in itertools.product(corpus(43, 40), corpus(44, 40)):
             want = vf2(host, pattern).subgraph_is_monomorphic()
             assert subgraph_isomorphic(pattern, host) == want, (pattern.edges, host.edges)
-            assert (find_embedding(pattern, host) is not None) == want
             answers.add(want)
         assert answers == {True, False}

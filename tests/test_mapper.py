@@ -4,11 +4,10 @@ import pytest
 
 from subarchmap import (Circuit, CouplingGraph, Gate, brute_force_optimal,
                         map_optimal)
-from subarchmap.circuits import make_ring_circuit
 from subarchmap.mapper import OracleLimitError
 from subarchmap.verify import verify_result
 
-from conftest import random_circuit, random_connected_graph
+from conftest import make_ring_circuit, random_circuit, random_connected_graph
 
 
 def path(n):

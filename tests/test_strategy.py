@@ -4,10 +4,9 @@ import pytest
 
 from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig,
                         map_with_subarch, optimality_certificate)
-from subarchmap.circuits import make_ring_circuit
 from subarchmap.verify import verify_result
 
-from conftest import random_circuit, random_connected_graph
+from conftest import make_ring_circuit, random_circuit, random_connected_graph
 
 
 def cycle(n):
@@ -34,7 +33,7 @@ def test_ring_on_five_cycle_with_one_ancilla():
 def test_bound_chain_strictly_decreases():
     report = map_with_subarch(cycle(5), make_ring_circuit(4),
                               StrategyConfig(max_ancillas=1))
-    succ = report.successful_swaps()
+    succ = [o.swaps for o in report.outcomes if o.status == "success"]
     assert succ == sorted(succ, reverse=True)
     assert len(set(succ)) == len(succ)
 

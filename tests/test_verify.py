@@ -94,15 +94,13 @@ class TestLifting:
             assert lifted.swaps == r.swaps
             assert verify_result(c, lifted, g).ok
 
-    def test_relabeling_lift(self):
-        # subarchitecture with labels that are not platform labels
+    def test_foreign_labels_are_not_relabeled(self):
+        # a path isomorphic to part of path(5), but under labels g does not have
         sub = CouplingGraph([100, 101, 102], [(100, 101), (101, 102)])
         c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
         r = map_optimal(c, sub)
-        g = path(5)
-        lifted = lift_to_platform(r, g)
-        assert lifted.swaps == r.swaps
-        assert verify_result(c, lifted, g).ok
+        with pytest.raises(ValueError, match="does not embed"):
+            lift_to_platform(r, path(5))
 
     def test_no_embedding(self):
         tri = CouplingGraph(range(3), [(0, 1), (1, 2), (0, 2)])
