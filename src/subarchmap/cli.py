@@ -187,7 +187,9 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
             alloc = parse_layout_comments(mapped_text)
         else:
             doc = json.loads(Path(layout).read_text())
-            alloc = Allocation.from_dict({int(q): int(p) for q, p in doc.items()})
+            if not all(type(p) is int and p >= 0 for p in doc.values()):  # not bool
+                raise ValueError("layout values must be non-negative JSON integers")
+            alloc = Allocation.from_dict({int(q): p for q, p in doc.items()})
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise click.BadParameter(str(exc), param_hint="--layout")
     if alloc is None:

@@ -114,7 +114,10 @@ def parse_platform(text: str) -> CouplingGraph:
         if not (0 <= u < n and 0 <= v < n):
             raise PlatformError(f"edge ({u},{v}) out of range for {n} qubits")
         edges.append((u, v))
-    return CouplingGraph(range(n), edges, name=doc.get("name", ""))
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise PlatformError(f"'name' must be a string: {name!r}")
+    return CouplingGraph(range(n), edges, name=name)
 
 
 def load_platform(spec: str | Path) -> CouplingGraph:

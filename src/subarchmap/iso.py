@@ -3,7 +3,7 @@
 The hash is a Weisfeiler-Lehman color refinement: isomorphic graphs always
 collide, and most non-isomorphic ones do not, so it only buckets graphs for
 the exact checks. Both exact checks run one backtracking monomorphism matcher
-with degree-based pruning.
+with degree-based pruning, which answers yes or no.
 """
 
 from __future__ import annotations
@@ -28,50 +28,50 @@ def wl_hash(g: CouplingGraph) -> int:
     return hash((g.num_vertices, g.num_edges, tuple(sorted(colors.values()))))
 
 
-def _match(pattern: CouplingGraph, host: CouplingGraph) -> dict[int, int] | None:
-    """Find a monomorphism: an injective map carrying pattern edges to host edges.
+def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:
+    """True iff an edge-preserving bijection between the two graphs exists."""
+    if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
+        return False
+    if g1.degree_sequence() != g2.degree_sequence():
+        return False
+    # With equal vertex and edge counts a monomorphism is a bijection carrying
+    # the edges onto the edges: an isomorphism.
+    return subgraph_isomorphic(g1, g2)
 
-    Host edges among the image vertices need not come from pattern edges.
-    Deterministic: pattern vertices are processed in a fixed connectivity-aware
-    order and host candidates ascending, so the first witness is stable.
+
+def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
+    """True iff pattern maps injectively into host carrying every edge to an edge.
+
+    Non-induced (monomorphism) semantics: the host may have extra edges among
+    the image vertices. The backtracking search answers yes or no.
     """
-    pn, hn = pattern.num_vertices, host.num_vertices
-    if pn > hn or pattern.num_edges > host.num_edges:
-        return None
+    if pattern.num_vertices > host.num_vertices or pattern.num_edges > host.num_edges:
+        return False
 
-    # Order pattern vertices so each one (after the first of its component)
-    # touches an already-placed vertex; anchored vertices prune hard.
+    # Place next a vertex touching an already-placed one when there is one, so
+    # anchored vertices prune hard; highest degree first, then lowest label.
     order: list[int] = []
-    placed: set[int] = set()
     remaining = set(pattern.vertices)
     while remaining:
-        candidates = [v for v in remaining if placed & set(pattern.neighbors(v))]
-        if candidates:
-            v = max(candidates, key=lambda x: (pattern.degree(x), -x))
-        else:
-            v = max(remaining, key=lambda x: (pattern.degree(x), -x))
+        touching = [v for v in remaining if not remaining.issuperset(pattern.neighbors(v))]
+        v = max(touching or remaining, key=lambda x: (pattern.degree(x), -x))
         order.append(v)
-        placed.add(v)
         remaining.remove(v)
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
     def backtrack(idx: int) -> bool:
-        if idx == pn:
+        if idx == len(order):
             return True
         pv = order[idx]
         # Candidates are adjacent to the image of every placed neighbor of pv,
         # so each one carries all of pv's edges to placed vertices.
         mapped_nbrs = [mapping[u] for u in pattern.neighbors(pv) if u in mapping]
-        if mapped_nbrs:
-            cands = set(host.neighbors(mapped_nbrs[0]))
-            for mv in mapped_nbrs[1:]:
-                cands &= set(host.neighbors(mv))
-            cands -= used
-        else:
-            cands = set(host.vertices) - used
-        for hv in sorted(cands):
+        cands = set(host.neighbors(mapped_nbrs[0])) if mapped_nbrs else set(host.vertices)
+        for mv in mapped_nbrs[1:]:
+            cands &= set(host.neighbors(mv))
+        for hv in sorted(cands - used):
             if host.degree(hv) < pattern.degree(pv):
                 continue
             mapping[pv] = hv
@@ -82,26 +82,4 @@ def _match(pattern: CouplingGraph, host: CouplingGraph) -> dict[int, int] | None
             used.remove(hv)
         return False
 
-    return dict(mapping) if backtrack(0) else None
-
-
-def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:
-    """True iff an edge-preserving bijection between the two graphs exists."""
-    if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
-        return False
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
-    # A monomorphism between graphs with equal vertex counts is a bijection,
-    # and with equal edge counts it carries the edges onto the edges: it is an
-    # isomorphism.
-    return _match(g1, g2) is not None
-
-
-def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
-    """True iff pattern maps injectively into host carrying every edge to an edge.
-
-    Non-induced (monomorphism) semantics: the host may have extra edges among
-    the image vertices.
-    """
-    return _match(pattern, host) is not None
-
+    return backtrack(0)

@@ -16,8 +16,11 @@ from .circuits import PHYSICAL, Allocation, Circuit, Gate
 from .graphs import CouplingGraph, is_connected
 
 
+ORACLE_MAX_VERTICES, ORACLE_MAX_GATES, ORACLE_MAX_SWAPS = 6, 8, 4
+
+
 class OracleLimitError(ValueError):
-    """Instance exceeds the exhaustive oracle's configured limits."""
+    """Instance exceeds the exhaustive oracle's limits."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,13 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     current binding of logical to physical qubits. Strict order is the
     dependency chain gate i-1 -> gate i; relaxed order keeps only the
     dependencies through shared qubits. Nothing else depends on the order.
+
+    The memo, written on entry, prunes by dominance on that state: a state
+    reached again with no more swaps left cannot finish where the earlier
+    visit failed. At the first limit that succeeds no witness revisits a
+    state, as cutting out the loop would save swaps, so the first witness is
+    never pruned. Skipping the undo of the previous swap (last_edge) only
+    saves a call that the memo would prune.
     """
     if c.n_qubits > g.num_vertices:
         raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
@@ -98,28 +108,32 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                 h = max(h, dist[pos[a]][pos[b]] - 1)
         return h
 
-    def exec_moves(i: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-        """Ways to execute gate i right now that bind at least one new qubit:
-        (physical operands, new bindings)."""
+    def bindings(i: int) -> list[tuple[tuple[int, int], ...]]:
+        """New (logical, physical) bindings that let gate i run right now."""
         gate = gates[i]
-        if all(q in pos for q in gate.qubits):
-            return []
         if gate.name != "cx":
             (q,) = gate.qubits
-            return [((p,), ((q, p),)) for p in g.vertices if p not in occ]
+            return [((q, p),) for p in g.vertices if p not in occ]
         a, b = gate.qubits
         if a in pos:
-            pa = pos[a]
-            return [((pa, p), ((b, p),)) for p in g.neighbors(pa) if p not in occ]
+            return [((b, p),) for p in g.neighbors(pos[a]) if p not in occ]
         if b in pos:
-            pb = pos[b]
-            return [((p, pb), ((a, p),)) for p in g.neighbors(pb) if p not in occ]
+            return [((a, p),) for p in g.neighbors(pos[b]) if p not in occ]
         moves = []
         for u, v in edges:
             if u not in occ and v not in occ:
-                moves.append(((u, v), ((a, u), (b, v))))
-                moves.append(((v, u), ((a, v), (b, u))))
+                moves += [((a, u), (b, v)), ((a, v), (b, u))]
         return moves
+
+    def swap(u: int, v: int) -> None:
+        """Exchange the contents of u and v; applying it twice undoes it."""
+        qu, qv = occ.pop(u, None), occ.pop(v, None)
+        if qu is not None:
+            occ[v] = qu
+            pos[qu] = v
+        if qv is not None:
+            occ[u] = qv
+            pos[qv] = u
 
     def dfs(done: int, remaining: int, last_edge: tuple[int, int] | None,
             memo: dict) -> bool:
@@ -130,72 +144,53 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         key = (done, tuple(sorted(occ.items())))
         if memo.get(key, -1) >= remaining:
             return False
+        memo[key] = remaining
 
-        ready = [i for i in range(m)
-                 if not done >> i & 1 and preds_mask[i] & done == preds_mask[i]]
-
-        # A ready gate that is fully bound and feasible can always be pulled
-        # to the front of any completion without changing the swap count, so
-        # commit to it and branch nowhere else.
-        for i in ready:
-            gate = gates[i]
-            if all(q in pos for q in gate.qubits):
-                phys = tuple(pos[q] for q in gate.qubits)
-                if gate.name != "cx" or g.has_edge(*phys):
-                    ops.append(("exec", i, phys, ()))
-                    if dfs(done | 1 << i, remaining, None, memo):
-                        return True
-                    ops.pop()
-                    memo[key] = max(memo.get(key, -1), remaining)
-                    return False
-
-        for i in ready:
-            for phys, bindings in exec_moves(i):
-                for q, p in bindings:
-                    pos[q] = p
-                    occ[p] = q
-                ops.append(("exec", i, phys, bindings))
+        unbound = []
+        for i in range(m):
+            if done >> i & 1 or preds_mask[i] & done != preds_mask[i]:
+                continue
+            if any(q not in pos for q in gates[i].qubits):
+                unbound.append(i)
+                continue
+            # A ready gate that is fully bound and feasible can always be pulled
+            # to the front of any completion without changing the swap count, so
+            # commit to it and branch nowhere else.
+            phys = tuple(pos[q] for q in gates[i].qubits)
+            if gates[i].name != "cx" or g.has_edge(*phys):
+                ops.append((i, phys))
                 if dfs(done | 1 << i, remaining, None, memo):
                     return True
                 ops.pop()
-                for q, p in bindings:
+                return False
+
+        for i in unbound:
+            for new in bindings(i):
+                for q, p in new:
+                    pos[q] = p
+                    occ[p] = q
+                ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
+                if dfs(done | 1 << i, remaining, None, memo):
+                    return True
+                ops.pop()
+                for q, p in new:
                     del pos[q]
                     del occ[p]
 
         if remaining > 0:
             for u, v in edges:
-                if (u, v) == last_edge:
-                    continue  # never immediately undo the previous swap
-                if u not in occ and v not in occ:
-                    continue  # swapping two unallocated qubits is a no-op
-                qu, qv = occ.pop(u, None), occ.pop(v, None)
-                if qu is not None:
-                    occ[v] = qu
-                    pos[qu] = v
-                if qv is not None:
-                    occ[u] = qv
-                    pos[qv] = u
-                ops.append(("swap", u, v))
+                if (u, v) == last_edge or (u not in occ and v not in occ):
+                    continue  # an undo the memo would prune, or a no-op
+                swap(u, v)
+                ops.append((None, (u, v)))
                 if dfs(done, remaining - 1, (u, v), memo):
                     return True
                 ops.pop()
-                occ.pop(u, None)
-                occ.pop(v, None)
-                if qu is not None:
-                    occ[u] = qu
-                    pos[qu] = u
-                if qv is not None:
-                    occ[v] = qv
-                    pos[qv] = v
-
-        memo[key] = max(memo.get(key, -1), remaining)
+                swap(u, v)
         return False
 
     limits = range(bound + 1) if bound is not None else itertools.count()
-    for limit in limits:
-        ops.clear()
-        pos.clear()
-        occ.clear()
+    for limit in limits:  # a failed dfs leaves ops, pos and occ empty
         if dfs(0, limit, None, {}):
             return _build_result(c, g, ops, limit)
     return None
@@ -207,15 +202,15 @@ def _build_result(c: Circuit, g: CouplingGraph, ops: list[tuple],
     init_of_cur = {p: p for p in g.vertices}
     alloc: dict[int, int] = {}
     phys_gates: list[Gate] = []
-    for op in ops:
-        if op[0] == "swap":
-            _, u, v = op
-            phys_gates.append(Gate("swap", (u, v)))
+    for i, phys in ops:
+        if i is None:
+            u, v = phys
+            phys_gates.append(Gate("swap", phys))
             init_of_cur[u], init_of_cur[v] = init_of_cur[v], init_of_cur[u]
         else:
-            _, i, phys, bindings = op
-            for q, p in bindings:
-                alloc[q] = init_of_cur[p]
+            # Binding is lazy: a qubit is bound when its first gate runs.
+            for q, p in zip(gates[i].qubits, phys):
+                alloc.setdefault(q, init_of_cur[p])
             phys_gates.append(Gate(gates[i].name, phys, gates[i].params))
     free = sorted(set(g.vertices) - set(alloc.values()))
     for q in range(c.n_qubits):
@@ -225,9 +220,8 @@ def _build_result(c: Circuit, g: CouplingGraph, ops: list[tuple],
     return MapResult(mapped, Allocation.from_dict(alloc), swaps, g)
 
 
-def brute_force_optimal(c: Circuit, g: CouplingGraph, max_swaps: int, *,
-                        max_vertices: int = 6, max_gates: int = 8,
-                        hard_swap_cap: int = 4) -> int | None:
+def brute_force_optimal(c: Circuit, g: CouplingGraph,
+                        max_swaps: int) -> int | None:
     """Exhaustive minimum-swap oracle, independent of map_optimal.
 
     Tries every initial allocation and every way of inserting up to max_swaps
@@ -236,8 +230,8 @@ def brute_force_optimal(c: Circuit, g: CouplingGraph, max_swaps: int, *,
     gates are relabeled through the evolving allocation, so unmapping
     recovers the input. Returns the minimum swap count, or None.
     """
-    if g.num_vertices > max_vertices or len(c.gates) > max_gates \
-            or max_swaps > hard_swap_cap:
+    if g.num_vertices > ORACLE_MAX_VERTICES or len(c.gates) > ORACLE_MAX_GATES \
+            or max_swaps > ORACLE_MAX_SWAPS:
         raise OracleLimitError("instance exceeds exhaustive oracle limits")
     edges = sorted(g.edges)
     m = len(c.gates)

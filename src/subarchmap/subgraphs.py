@@ -32,8 +32,7 @@ def connected_subgraphs(g: CouplingGraph, k: int) -> Iterator[tuple[int, ...]]:
 
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
 
-    def extend(anchor: int, sub: list[int], sub_set: set[int],
-               ext: list[int]) -> Iterator[tuple[int, ...]]:
+    def extend(anchor: int, sub: set[int], ext: list[int]) -> Iterator[tuple[int, ...]]:
         if len(sub) == k:
             yield tuple(sorted(sub))
             return
@@ -41,13 +40,11 @@ def connected_subgraphs(g: CouplingGraph, k: int) -> Iterator[tuple[int, ...]]:
         # excluded for the rest of this branch, so every set is built once.
         for i, w in enumerate(ext):
             fresh = [u for u in adj[w]
-                     if u > anchor and u not in sub_set and not (adj[u] & sub_set)]
-            sub.append(w)
-            sub_set.add(w)
-            yield from extend(anchor, sub, sub_set, ext[i + 1:] + sorted(fresh))
-            sub.pop()
-            sub_set.remove(w)
+                     if u > anchor and u not in sub and not (adj[u] & sub)]
+            sub.add(w)
+            yield from extend(anchor, sub, ext[i + 1:] + sorted(fresh))
+            sub.remove(w)
 
     for v in g.vertices:
         ext0 = sorted(u for u in adj[v] if u > v)
-        yield from extend(v, [v], {v}, ext0)
+        yield from extend(v, {v}, ext0)

@@ -204,6 +204,13 @@ def _two_triangles(tmp_path):
         {"qubits": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]}))
 
 
+def _verify_with_layout(tmp_path, layout):
+    return ["verify", "--platform", "guadalupe",
+            "--circuit", _qasm_file(tmp_path, "cx q[0],q[1];"),
+            "--mapped", _qasm_file(tmp_path, "cx q[0],q[1];"),
+            "--layout", _write(tmp_path / "layout.json", layout)]
+
+
 MALFORMED = {
     "cx-same-qubit": lambda t: [
         "map", "--platform", "guadalupe", "--circuit",
@@ -221,11 +228,14 @@ MALFORMED = {
     "disconnected-platform-map": lambda t: [
         "map", "--platform", _two_triangles(t), "--circuit",
         _qasm_file(t, "cx q[0],q[1];")],
-    "layout-not-json": lambda t: [
-        "verify", "--platform", "guadalupe",
-        "--circuit", _qasm_file(t, "cx q[0],q[1];"),
-        "--mapped", _qasm_file(t, "cx q[0],q[1];"),
-        "--layout", _write(t / "layout.json", "{0: 1")],
+    "layout-not-json": lambda t: _verify_with_layout(t, "{0: 1"),
+    "layout-value-bool": lambda t: _verify_with_layout(t, '{"0": false, "1": 1}'),
+    "layout-value-float": lambda t: _verify_with_layout(t, '{"0": 0, "1": 1.7}'),
+    "layout-value-string": lambda t: _verify_with_layout(t, '{"0": 0, "1": "1"}'),
+    "name-not-a-string": lambda t: [
+        "subarch", "--platform",
+        _platform_file(t, '{"name": [1], "qubits": 3, "edges": [[0, 1], [1, 2]]}'),
+        "--size", "2"],
     "negative-ancillas": lambda t: [
         "map", "--platform", "guadalupe", "--circuit",
         _qasm_file(t, "cx q[0],q[1];"), "--ancillas", "-1"],

@@ -87,6 +87,7 @@ class TestParsePlatform:
         ('{"qubits": 3, "edges": [[0, 1.0]]}', "endpoints must be integers"),
         ('{"qubits": 3, "edges": [[true, false]]}', "endpoints must be integers"),
         ('{"qubits": 3, "edges": [[1, 1]]}', "self-loop"),
+        ('{"name": [1], "qubits": 3, "edges": [[0, 1]]}', "'name' must be a string"),
     ])
     def test_rejects_malformed_document(self, doc, match):
         with pytest.raises(PlatformError, match=match):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -145,3 +147,54 @@ def test_relaxed_matches_best_order_by_brute_force():
             for order in linear_extensions(c.gates)]
         assert relaxed == min(s for s in per_order if s is not None)
     assert wanted == {True: 0, False: 0}
+
+
+def bfs_min_swaps(c: Circuit, g: CouplingGraph, relaxed: bool) -> int:
+    """Minimum swap count by 0-1 BFS over (placement of every logical qubit,
+    executed gates), started from every full placement.
+
+    Running a ready gate on adjacent qubits (or a unary gate) costs 0 and
+    swapping the ends of any edge costs 1. Independent of map_optimal: its
+    own dependency sets, every qubit placed up front, no heuristic, no memo.
+    """
+    gates = c.gates
+    deps = [frozenset(j for j in range(i)
+                      if not relaxed or set(gates[j].qubits) & set(gates[i].qubits))
+            for i in range(len(gates))]
+    best = {}
+    queue = deque()
+    for placement in itertools.permutations(g.vertices, c.n_qubits):
+        best[placement, frozenset()] = 0
+        queue.append((0, placement, frozenset()))
+    while queue:
+        cost, placement, done = queue.popleft()
+        if cost > best[placement, done]:
+            continue
+        if len(done) == len(gates):
+            return cost
+        moves = [(0, placement, done | {i}) for i, gate in enumerate(gates)
+                 if i not in done and deps[i] <= done
+                 and (len(gate.qubits) == 1
+                      or g.has_edge(*(placement[q] for q in gate.qubits)))]
+        moves += [(1, tuple(v if p == u else u if p == v else p for p in placement), done)
+                  for u, v in g.edges]
+        for step, nxt, nxt_done in moves:
+            if (nxt, nxt_done) in best and best[nxt, nxt_done] <= cost + step:
+                continue
+            best[nxt, nxt_done] = cost + step
+            if step:
+                queue.append((cost + 1, nxt, nxt_done))
+            else:
+                queue.appendleft((cost, nxt, nxt_done))
+    raise AssertionError("a connected target always admits a mapping")
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_agrees_with_bfs_beyond_brute_force_limits(relaxed):
+    # 6-7 vertices and 9-12 gates are past brute_force_optimal's limits; sparse
+    # targets make the optima 0-4 swaps, and relaxed order saves swaps on some.
+    rng = random.Random(5)
+    for _ in range(14):
+        g = random_connected_graph(rng, rng.randrange(6, 8), rng.randrange(2))
+        c = random_circuit(rng, rng.randrange(4, 6), rng.randrange(9, 13))
+        assert map_optimal(c, g, relaxed=relaxed).swaps == bfs_min_swaps(c, g, relaxed)
