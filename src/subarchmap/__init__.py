@@ -6,7 +6,7 @@ from .graphs import (CouplingGraph, induced_subgraph, is_connected, load_platfor
                      parse_platform)
 from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
 from .mapper import MapResult, brute_force_optimal, map_optimal
-from .maximal import SubarchSet, max_subarchitectures
+from .maximal import SubarchSet, max_subarchitectures, subarchitectures
 from .strategy import StrategyConfig, StrategyReport, map_with_subarch, optimality_certificate
 from .subgraphs import connected_subgraphs, count_all_subsets
 from .verify import (Verdict, check_equivalence, check_feasibility, lift_to_platform,
@@ -20,7 +20,8 @@ __all__ = [
     "induced_subgraph", "is_connected", "is_isomorphic",
     "lift_to_platform", "load_platform", "map_optimal", "map_with_subarch",
     "max_subarchitectures", "optimality_certificate", "parse_platform",
-    "parse_qasm", "subgraph_isomorphic", "unmap", "verify_result", "wl_hash",
+    "parse_qasm", "subarchitectures", "subgraph_isomorphic", "unmap",
+    "verify_result", "wl_hash",
 ]
 
 __version__ = "0.1.0"

@@ -198,8 +198,14 @@ _LAYOUT_RE = re.compile(r"//\s*q\[(\d+)\]\s*->\s*Q\[(\d+)\]")
 
 
 def parse_layout_comments(text: str) -> Allocation | None:
-    """Recover an initial layout from `// q[i] -> Q[j]` comment lines."""
-    pairs = {int(q): int(p) for q, p in _LAYOUT_RE.findall(text)}
+    """Recover an initial layout from `// q[i] -> Q[j]` comment lines.
+
+    Raises ValueError when a logical qubit is laid out twice.
+    """
+    found = [(int(q), int(p)) for q, p in _LAYOUT_RE.findall(text)]
+    pairs = dict(found)
+    if len(pairs) != len(found):
+        raise ValueError("a logical qubit is laid out twice in the layout comments")
     return Allocation.from_dict(pairs) if pairs else None
 
 

@@ -11,7 +11,7 @@ import click
 from .circuits import (LOGICAL, PHYSICAL, Allocation, Circuit, emit_qasm,
                        gate_equivalent_cost, parse_layout_comments, parse_qasm)
 from .graphs import CouplingGraph, PlatformError, is_connected, load_platform
-from .maximal import BudgetExceeded, Deadline, max_subarchitectures
+from .maximal import BudgetExceeded, Deadline, subarchitectures
 from .mapper import map_optimal
 from .strategy import StrategyConfig, map_with_subarch, optimality_certificate
 from .subgraphs import connected_subgraphs
@@ -79,7 +79,7 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
             out = {"platform": g.name or platform, "k": k, "connected": count}
             click.echo(json.dumps(out) if as_json else f"connected: {count}")
             return
-        ss = max_subarchitectures(g, k, deadline=deadline, cache_dir=cache_dir)
+        ss = subarchitectures(g, k, deadline=deadline, cache_dir=cache_dir)
     except BudgetExceeded:
         click.echo("TO")
         sys.exit(EXIT_BUDGET)
@@ -186,9 +186,12 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
         if layout == "auto":
             alloc = parse_layout_comments(mapped_text)
         else:
-            doc = json.loads(Path(layout).read_text())
+            doc = json.loads(Path(layout).read_text(), object_pairs_hook=_unique_keys)
             if not all(type(p) is int and p >= 0 for p in doc.values()):  # not bool
                 raise ValueError("layout values must be non-negative JSON integers")
+            if not all(q.isascii() and q.isdigit() and str(int(q)) == q for q in doc):
+                raise ValueError("layout keys must be non-negative integers in "
+                                 "decimal, such as \"0\"")
             alloc = Allocation.from_dict({int(q): p for q, p in doc.items()})
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise click.BadParameter(str(exc), param_hint="--layout")
@@ -221,8 +224,7 @@ def bench(manifest, budget, cache_dir, as_json):
     for name, k in entries:
         try:
             g = load_platform(name)
-            ss = max_subarchitectures(g, k, deadline=Deadline(budget),
-                                      cache_dir=cache_dir)
+            ss = subarchitectures(g, k, deadline=Deadline(budget), cache_dir=cache_dir)
             rows.append(_row_dict(g.name or name, g.num_vertices, ss))
         except BudgetExceeded:
             timeouts += 1
@@ -243,6 +245,13 @@ def bench(manifest, budget, cache_dir, as_json):
         sys.exit(EXIT_BUDGET)
     if errors:
         sys.exit(EXIT_FAILURE)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("duplicate key in JSON object")
+    return doc
 
 
 def _load(platform: str, connected: bool = False) -> CouplingGraph:

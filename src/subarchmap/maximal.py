@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .graphs import CouplingGraph, induced_subgraph
@@ -18,6 +19,7 @@ from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
 from .subgraphs import connected_subgraphs, count_all_subsets
 
 CACHE_FORMAT = 2  # bump whenever files written before may differ from a fresh run
+STORE_SIZE = 64  # (platform, k) results kept in process; least recently used go first
 
 
 class BudgetExceeded(Exception):
@@ -40,8 +42,8 @@ class Deadline:
 class SubarchSet:
     """Result of the maximal-subarchitecture pipeline for one (platform, k).
 
-    cached is True when it was replayed from a cache file, whose stage_times
-    are those of the run that wrote it.
+    cached is True when subarchitectures served it from its in-process store
+    or a cache file; its stage_times are those of the run that computed it.
     """
 
     platform: CouplingGraph
@@ -57,8 +59,7 @@ class SubarchSet:
 
 
 def max_subarchitectures(g: CouplingGraph, k: int, *,
-                         deadline: Deadline | None = None,
-                         cache_dir: str | Path | None = None) -> SubarchSet:
+                         deadline: Deadline | None = None) -> SubarchSet:
     """All maximal, connected, pairwise non-subgraph-isomorphic k-subgraphs of g.
 
     First pass, streaming: each connected k-subset is hashed and opens a new
@@ -72,12 +73,8 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     edges; every such class was decided earlier, and one that was not kept
     embeds into a kept one, so checking the kept classes is exhaustive.
     Members are returned in the order their classes were first seen.
+    It always computes; subarchitectures is the lookup that reuses results.
     """
-    if cache_dir is not None:
-        cached = load_cached(g, k, cache_dir)
-        if cached is not None:
-            return cached
-
     deadline = deadline or Deadline(None)
     connected = 0
     buckets: dict[int, list[CouplingGraph]] = {}
@@ -121,10 +118,48 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     }
     times = {"connected": t_conn, "noniso": t_iso, "max": t_max,
              "total": t_conn + t_iso + t_max}
-    result = SubarchSet(g, k, members, counts, times)
-    if cache_dir is not None:
-        save_cached(result, cache_dir)
-    return result
+    return SubarchSet(g, k, members, counts, times)
+
+
+_store: OrderedDict[tuple[CouplingGraph, str, int], SubarchSet] = OrderedDict()
+
+
+def subarchitectures(g: CouplingGraph, k: int, *,
+                     deadline: Deadline | None = None,
+                     cache_dir: str | Path | None = None) -> SubarchSet:
+    """max_subarchitectures(g, k), computed once per (platform, k) and process.
+
+    Looks in the in-process store, then in cache_dir when one is given, and
+    only then computes, writing the result to cache_dir. The store key
+    compares vertices and edges exactly, and the platform name as well, since
+    members carry it. A result cut off by the deadline is never stored. A
+    hit is a fresh SubarchSet around the caller's g, marked cached.
+    """
+    key = (g, g.name, k)
+    stored = _store.get(key)
+    if stored is not None:
+        _store.move_to_end(key)
+        return _replay(stored, g)
+    ss = None if cache_dir is None else load_cached(g, k, cache_dir)
+    if ss is None:
+        ss = max_subarchitectures(g, k, deadline=deadline)
+        if cache_dir is not None:
+            save_cached(ss, cache_dir)
+    _store[key] = _replay(ss, g)
+    if len(_store) > STORE_SIZE:
+        _store.popitem(last=False)
+    return ss
+
+
+def _replay(ss: SubarchSet, g: CouplingGraph) -> SubarchSet:
+    """A copy of ss on g, marked cached, sharing no mutable state with ss."""
+    return replace(ss, platform=g, members=list(ss.members),
+                   stage_counts=dict(ss.stage_counts),
+                   stage_times=dict(ss.stage_times), cached=True)
+
+
+_COUNT_KEYS = ("all_subsets", "connected", "noniso", "max")
+_TIME_KEYS = ("connected", "noniso", "max", "total")
 
 
 def _cache_path(g: CouplingGraph, k: int, cache_dir: str | Path) -> Path:
@@ -154,15 +189,27 @@ def save_cached(ss: SubarchSet, cache_dir: str | Path) -> Path:
 
 def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path) -> SubarchSet | None:
     """The cached result for (g, k), or None on a missing or unreadable file,
-    or one written for another platform, k or CACHE_FORMAT."""
+    one written for another platform, k or CACHE_FORMAT, or one of another
+    shape: integer stage counts, numeric stage times, and stage_counts["max"]
+    members, each a list of k distinct vertices of g."""
     path = _cache_path(g, k, cache_dir)
     try:
         doc = json.loads(path.read_text())
         if (doc["platform_digest"], doc["k"], doc["format"]) \
                 != (g.digest(), k, CACHE_FORMAT):
             return None
-        members = [induced_subgraph(g, vs) for vs in doc["members"]]
-        return SubarchSet(g, k, members, dict(doc["stage_counts"]),
-                          dict(doc["stage_times"]), cached=True)
+        counts = {key: doc["stage_counts"][key] for key in _COUNT_KEYS}
+        times = {key: doc["stage_times"][key] for key in _TIME_KEYS}
+        vertex_lists = doc["members"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
+    vertices = set(g.vertices)
+    if not (all(type(c) is int for c in counts.values())  # not bool
+            and all(type(t) in (int, float) for t in times.values())
+            and type(vertex_lists) is list and len(vertex_lists) == counts["max"]
+            and all(type(vs) is list and all(type(v) is int for v in vs)
+                    and len(vs) == len(set(vs)) == k and vertices.issuperset(vs)
+                    for vs in vertex_lists)):
+        return None
+    members = [induced_subgraph(g, vs) for vs in vertex_lists]
+    return SubarchSet(g, k, members, counts, times, cached=True)

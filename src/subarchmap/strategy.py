@@ -13,7 +13,7 @@ from pathlib import Path
 from .circuits import Circuit
 from .graphs import CouplingGraph, is_connected
 from .mapper import MapResult, map_optimal
-from .maximal import Deadline, max_subarchitectures
+from .maximal import Deadline, subarchitectures
 
 
 @dataclass
@@ -78,8 +78,7 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
     report = StrategyReport()
 
     for k in range(n, k_max + 1):
-        subarchs = max_subarchitectures(g, k, deadline=deadline,
-                                        cache_dir=cfg.cache_dir)
+        subarchs = subarchitectures(g, k, deadline=deadline, cache_dir=cfg.cache_dir)
         # stable: members with equal edge counts keep their first-seen order
         for member in sorted(subarchs.members, key=lambda m: -m.num_edges):
             if deadline is not None:

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from subarchmap import CouplingGraph, Circuit, Gate, induced_subgraph, is_connected
+from subarchmap import (CouplingGraph, Circuit, Gate, induced_subgraph, is_connected,
+                        maximal)
 
 
 def pytest_addoption(parser):
@@ -18,6 +19,24 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "extended" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def empty_subarch_store():
+    """Every test starts with nothing in the in-process subarchitecture store."""
+    maximal._store.clear()
+
+
+@pytest.fixture
+def computations(monkeypatch) -> list[int]:
+    """The k of every max_subarchitectures call that goes through its module global."""
+    calls, compute = [], maximal.max_subarchitectures
+
+    def counted(g, k, **kwargs):
+        calls.append(k)
+        return compute(g, k, **kwargs)
+    monkeypatch.setattr(maximal, "max_subarchitectures", counted)
+    return calls
 
 
 def random_connected_graph(rng: random.Random, n: int,

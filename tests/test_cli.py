@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from subarchmap import maximal
 from subarchmap.cli import main
 
 RING_QASM = """OPENQASM 2.0;
@@ -82,6 +83,20 @@ class TestSubarch:
                                    "--cache", str(cache)])
         assert res.exit_code == 0, res.output
         assert list(cache.glob("*.json"))
+
+    def test_cache_file_of_another_shape_is_recomputed(self, runner, c5_path, tmp_path):
+        args = ["subarch", "--platform", c5_path, "--size", "3", "--json",
+                "--cache", str(tmp_path / "cache")]
+        first = json.loads(runner.invoke(main, args).output)
+        (path,) = (tmp_path / "cache").glob("*.json")
+        doc = json.loads(path.read_text())
+        del doc["stage_times"]["total"]
+        path.write_text(json.dumps(doc))
+        maximal._store.clear()
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        again = json.loads(res.output)
+        assert again["cached"] is False and again["max"] == first["max"]
 
     def test_budget_expiry(self, runner):
         res = runner.invoke(main, ["subarch", "--platform", "tokyo",
@@ -232,6 +247,16 @@ MALFORMED = {
     "layout-value-bool": lambda t: _verify_with_layout(t, '{"0": false, "1": 1}'),
     "layout-value-float": lambda t: _verify_with_layout(t, '{"0": 0, "1": 1.7}'),
     "layout-value-string": lambda t: _verify_with_layout(t, '{"0": 0, "1": "1"}'),
+    "layout-key-negative": lambda t: _verify_with_layout(t, '{"-1": 0, "0": 1, "1": 2}'),
+    "layout-key-with-space": lambda t: _verify_with_layout(t, '{"0": 0, "1": 1, "1 ": 4}'),
+    "layout-key-leading-zero": lambda t: _verify_with_layout(t, '{"00": 0, "1": 1}'),
+    "layout-key-twice": lambda t: _verify_with_layout(t, '{"0": 5, "0": 0, "1": 1}'),
+    "layout-comment-twice": lambda t: [
+        "verify", "--platform", "guadalupe",
+        "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", _write(t / "mapped.qasm", "OPENQASM 2.0;\n// q[0] -> Q[5]\n"
+                           "// q[0] -> Q[0]\n// q[1] -> Q[1]\nqreg q[2];\n"
+                           "cx q[0],q[1];\n")],
     "name-not-a-string": lambda t: [
         "subarch", "--platform",
         _platform_file(t, '{"name": [1], "qubits": 3, "edges": [[0, 1], [1, 2]]}'),
@@ -299,6 +324,18 @@ class TestBench:
         assert res.exit_code == 0
         rows = json.loads(res.output)["rows"]
         assert rows[1]["connected"] == 24
+
+    def test_repeated_row_is_served_from_the_store(self, runner, c5_path, tmp_path):
+        manifest = _write(tmp_path / "m.json", json.dumps(
+            [{"platform": c5_path, "k": 3}, {"platform": "guadalupe", "k": 4},
+             {"platform": c5_path, "k": 3}]))
+        res = runner.invoke(main, ["bench", "--manifest", manifest, "--json"])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(res.output)["rows"]
+        assert [r["cached"] for r in rows] == [False, False, True]
+        assert rows[2]["stage_seconds"] == rows[0]["stage_seconds"]
+        assert {key: rows[2][key] for key in ("connected", "noniso", "max")} \
+            == {key: rows[0][key] for key in ("connected", "noniso", "max")}
 
     def test_manifest_error_row(self, runner, tmp_path):
         manifest = tmp_path / "m.json"

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from subarchmap import (CouplingGraph, connected_subgraphs, induced_subgraph,
-                        is_isomorphic, load_platform, max_subarchitectures,
-                        subgraph_isomorphic, wl_hash)
+                        is_isomorphic, load_platform, max_subarchitectures, maximal,
+                        subarchitectures, subgraph_isomorphic, wl_hash)
 from subarchmap.maximal import (CACHE_FORMAT, BudgetExceeded, Deadline, load_cached,
                                 save_cached)
 
@@ -121,11 +121,50 @@ def test_deadline_expires():
         max_subarchitectures(g, 6, deadline=Deadline(0.0))
 
 
+def _set(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+def _del(section, key):
+    def edit(doc):
+        del doc[section][key]
+    return edit
+
+
+def _first_member(value):
+    def edit(doc):
+        doc["members"][0] = value
+    return edit
+
+
+# Edits of a valid k=4 cache document, each of which must make it a miss.
+MALFORMED_CACHE_DOCS = {
+    "counts-empty": lambda doc: doc.update(stage_counts={}),
+    "counts-without-max": _del("stage_counts", "max"),
+    "count-a-string": _set("stage_counts", "connected", "9"),
+    "count-a-float": _set("stage_counts", "noniso", 3.0),
+    "count-a-bool": _set("stage_counts", "all_subsets", True),
+    "times-without-total": _del("stage_times", "total"),
+    "time-a-string": _set("stage_times", "max", "0.1"),
+    "time-null": _set("stage_times", "noniso", None),
+    "members-a-dict": lambda doc: doc.update(members={"0": [0, 1, 2, 3]}),
+    "member-count-not-max": lambda doc: doc["members"].pop(),
+    "member-too-small": _first_member([0, 1]),
+    "member-repeats-a-vertex": _first_member([0, 1, 1, 2]),
+    "member-vertex-not-on-platform": _first_member([0, 1, 2, 9]),
+    "member-vertex-a-float": _first_member([0, 1, 2, 3.0]),
+    "member-vertex-a-string": _first_member([0, 1, 2, "3"]),
+    "member-not-a-list": _first_member(3),
+}
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         rng = random.Random(1)
         g = random_connected_graph(rng, 7)
-        ss = max_subarchitectures(g, 4, cache_dir=tmp_path)
+        ss = subarchitectures(g, 4, cache_dir=tmp_path)
         cached = load_cached(g, 4, tmp_path)
         assert cached is not None
         assert cached.counts_row() == ss.counts_row()
@@ -151,7 +190,7 @@ class TestCache:
             "stage_counts": {"all_subsets": 6, "connected": 5, "noniso": 1, "max": 1},
             "stage_times": {"connected": 0, "noniso": 0, "max": 0, "total": 0}}))
         assert load_cached(g, 5, tmp_path) is None
-        again = max_subarchitectures(g, 5, cache_dir=tmp_path)
+        again = subarchitectures(g, 5, cache_dir=tmp_path)
         assert not again.cached
         assert again.counts_row() == exact.counts_row()
         assert [m.vertices for m in again.members] == [m.vertices for m in exact.members]
@@ -165,7 +204,7 @@ class TestCache:
         assert doc["format"] == CACHE_FORMAT
         path.write_text(json.dumps(dict(doc, format=1)))
         assert load_cached(g, 3, tmp_path) is None
-        assert not max_subarchitectures(g, 3, cache_dir=tmp_path).cached
+        assert not subarchitectures(g, 3, cache_dir=tmp_path).cached
         assert load_cached(g, 3, tmp_path).cached
 
     def test_unreadable_file_is_a_miss(self, tmp_path):
@@ -174,8 +213,9 @@ class TestCache:
         path = save_cached(max_subarchitectures(g, 3), tmp_path)
         for text in ("{not json", "[]", '{"k": 3}'):
             path.write_text(text)
+            maximal._store.clear()  # else the previous step's result is served
             assert load_cached(g, 3, tmp_path) is None
-            ss = max_subarchitectures(g, 3, cache_dir=tmp_path)
+            ss = subarchitectures(g, 3, cache_dir=tmp_path)
             assert not ss.cached
         assert load_cached(g, 3, tmp_path).cached
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
@@ -183,7 +223,80 @@ class TestCache:
     def test_used_by_pipeline(self, tmp_path):
         rng = random.Random(3)
         g = random_connected_graph(rng, 6)
-        first = max_subarchitectures(g, 3, cache_dir=tmp_path)
-        again = max_subarchitectures(g, 3, cache_dir=tmp_path)
+        first = subarchitectures(g, 3, cache_dir=tmp_path)
+        maximal._store.clear()  # so the file, not the store, serves the second call
+        again = subarchitectures(g, 3, cache_dir=tmp_path)
         assert again.counts_row() == first.counts_row()
         assert again.cached and not first.cached
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CACHE_DOCS))
+    def test_document_of_another_shape_is_a_miss(self, tmp_path, case):
+        g = CouplingGraph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                                     (4, 5), (5, 2)])
+        exact = max_subarchitectures(g, 4)
+        path = save_cached(exact, tmp_path)
+        doc = json.loads(path.read_text())
+        assert load_cached(g, 4, tmp_path).cached
+        MALFORMED_CACHE_DOCS[case](doc)
+        path.write_text(json.dumps(doc))
+        assert load_cached(g, 4, tmp_path) is None
+        again = subarchitectures(g, 4, cache_dir=tmp_path)
+        assert not again.cached
+        assert again.counts_row() == exact.counts_row()
+        assert [m.vertices for m in again.members] == [m.vertices for m in exact.members]
+        assert load_cached(g, 4, tmp_path).cached  # the recomputed result replaced it
+
+
+class TestStore:
+    def test_hit_is_cached_and_equal(self):
+        g, twin = load_platform("guadalupe"), load_platform("guadalupe")
+        first = subarchitectures(g, 5)
+        again = subarchitectures(twin, 5)
+        assert (first.cached, again.cached) == (False, True)
+        assert again.platform is twin
+        assert again.counts_row() == first.counts_row()
+        assert [m.vertices for m in again.members] == [m.vertices for m in first.members]
+        assert again.stage_times == first.stage_times  # the computing run's times
+
+    def test_mutating_a_result_does_not_change_later_hits(self):
+        g = load_platform("guadalupe")
+        first = subarchitectures(g, 4)
+        rows = [m.vertices for m in first.members]
+        first.members.clear()
+        first.stage_counts["max"] = -1
+        hit = subarchitectures(g, 4)
+        hit.members.reverse()
+        hit.stage_times.clear()
+        again = subarchitectures(g, 4)
+        assert [m.vertices for m in again.members] == rows
+        assert again.counts_row()[3] == len(rows)
+        assert set(again.stage_times) == {"connected", "noniso", "max", "total"}
+
+    def test_budget_expiry_stores_nothing(self, computations):
+        g = CouplingGraph(range(8), [(a, b) for a in range(8) for b in range(a + 1, 8)])
+        with pytest.raises(BudgetExceeded):
+            subarchitectures(g, 4, deadline=Deadline(0.0))
+        ss = subarchitectures(g, 4)
+        assert not ss.cached and len(computations) == 2
+        assert ss.counts_row() == (70, 70, 1, 1)
+
+    def test_least_recently_used_entry_is_dropped(self, monkeypatch, computations):
+        monkeypatch.setattr(maximal, "STORE_SIZE", 2)
+        g = load_platform("guadalupe")
+        for k in (2, 3):
+            subarchitectures(g, k)
+        assert subarchitectures(g, 2).cached  # 3 is now the least recently used
+        subarchitectures(g, 4)
+        assert len(maximal._store) == 2
+        assert subarchitectures(g, 2).cached and subarchitectures(g, 4).cached
+        assert not subarchitectures(g, 3).cached
+        assert computations == [2, 3, 4, 3]
+
+    def test_equal_graphs_with_other_names_keep_their_own(self):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]
+        a, b = CouplingGraph(range(5), edges, "a"), CouplingGraph(range(5), edges, "b")
+        assert a == b
+        for g in (a, b, a, b):
+            ss = subarchitectures(g, 3)
+            assert ss.platform is g
+            assert {m.name for m in ss.members} == {g.name}

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from click.testing import CliRunner
 
-from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig,
-                        map_with_subarch, optimality_certificate)
+from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig, emit_qasm,
+                        load_platform, map_with_subarch, maximal, optimality_certificate)
+from subarchmap.cli import main
 from subarchmap.verify import verify_result
 
 from conftest import make_ring_circuit, random_circuit, random_connected_graph
@@ -88,3 +90,35 @@ def test_negative_ancilla_budget_is_rejected():
 def test_circuit_larger_than_platform():
     with pytest.raises(ValueError, match="larger"):
         map_with_subarch(path(3), make_ring_circuit(4))
+
+
+def test_equal_platform_reuses_every_subarchitecture_set(computations):
+    c = make_ring_circuit(4)
+    first = map_with_subarch(load_platform("guadalupe"), c)
+    assert computations == [4, 5, 6]
+    computations.clear()
+    again = map_with_subarch(load_platform("guadalupe"), c)
+    assert computations == []
+    assert again.outcomes == first.outcomes
+    assert again.result.swaps == first.result.swaps
+
+
+def test_cli_map_is_the_same_with_a_cold_and_a_warm_store(tmp_path, computations):
+    rng = random.Random(7)
+    runner = CliRunner()
+    for i in range(10):
+        path = tmp_path / f"c{i}.qasm"
+        path.write_text(emit_qasm(random_circuit(rng, rng.randrange(2, 6), 7)))
+        runs = []
+        for warm in (False, True):
+            if not warm:
+                maximal._store.clear()
+            computations.clear()
+            out, report = tmp_path / f"c{i}-{warm}.qasm", tmp_path / f"c{i}-{warm}.json"
+            res = runner.invoke(main, ["map", "--platform", "guadalupe",
+                                       "--circuit", str(path), "--ancillas", "2",
+                                       "--out", str(out), "--report", str(report)])
+            assert bool(computations) != warm  # the warm run computed nothing
+            runs.append((res.exit_code, res.stdout, out.read_text(), report.read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
