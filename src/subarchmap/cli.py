@@ -51,6 +51,12 @@ def _print_row_table(rows: list[dict]) -> None:
             r["noniso"], r["max"], t["connected"], t["noniso"], t["max"], t["total"]))
 
 
+def _check_budget(ctx, param, budget: float | None) -> float | None:
+    if budget is not None and not budget > 0:  # also rejects nan
+        raise click.BadParameter("must be a number of seconds > 0")
+    return budget
+
+
 @main.command()
 @click.option("--platform", required=True, help="Built-in name or platform JSON path.")
 @click.option("--size", "k", type=int, required=True, help="Subarchitecture size k.")
@@ -60,7 +66,8 @@ def _print_row_table(rows: list[dict]) -> None:
 @click.option("--emit", "emit_dir", type=click.Path(file_okay=False), default=None,
               help="Write each maximal member as a platform JSON file.")
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--budget", type=float, default=None, help="Wall-clock budget (s).")
+@click.option("--budget", type=float, default=None, callback=_check_budget,
+              help="Wall-clock budget (s), > 0.")
 @click.option("--json", "as_json", is_flag=True)
 def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_json):
     """Enumerate subarchitectures; prints a benchmark-table style row."""
@@ -207,7 +214,8 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
 @main.command()
 @click.option("--manifest", type=click.Path(exists=True), required=True,
               help='JSON list of {"platform": ..., "k": ...} entries.')
-@click.option("--budget", type=float, default=None, help="Per-row budget (s).")
+@click.option("--budget", type=float, default=None, callback=_check_budget,
+              help="Per-row budget (s), > 0.")
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def bench(manifest, budget, cache_dir, as_json):

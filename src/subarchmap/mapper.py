@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .circuits import PHYSICAL, Allocation, Circuit, Gate
 from .graphs import CouplingGraph, is_connected
+from .maximal import Deadline
 
 
 ORACLE_MAX_VERTICES, ORACLE_MAX_GATES, ORACLE_MAX_SWAPS = 6, 8, 4
@@ -47,7 +48,8 @@ def _all_pairs_distances(g: CouplingGraph) -> dict[int, dict[int, int]]:
 
 
 def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
-                relaxed: bool = False) -> MapResult | None:
+                relaxed: bool = False, *,
+                deadline: Deadline | None = None) -> MapResult | None:
     """Minimum-swap mapping of a logical circuit onto g.
 
     Returns None iff no correct mapping with at most `bound` swaps exists
@@ -62,12 +64,20 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     dependency chain gate i-1 -> gate i; relaxed order keeps only the
     dependencies through shared qubits. Nothing else depends on the order.
 
-    The memo, written on entry, prunes by dominance on that state: a state
-    reached again with no more swaps left cannot finish where the earlier
-    visit failed. At the first limit that succeeds no witness revisits a
-    state, as cutting out the loop would save swaps, so the first witness is
-    never pruned. Skipping the undo of the previous swap (last_edge) only
-    saves a call that the memo would prune.
+    The memo, written on entry, prunes a state reached with no more swaps
+    left than recorded. Each entry of a failed dfs is a true failure: else
+    take the one with the fewest-step completion within its swaps, running
+    the committed gate first if there is one. Its first step was tried; the
+    admissible heuristic cannot cut it, so the child, or for the skipped undo
+    of the last swap (last_edge) the parent, holds an entry with a shorter
+    completion. So one memo serves every deepening limit, and dfs(0, B) fails
+    only if no mapping has at most B swaps. At the first limit that succeeds
+    no witness revisits a state, as cutting out the loop would save swaps,
+    so the first witness is never pruned, whatever earlier limits stored.
+
+    A bounded call first runs dfs(0, bound) alone, the one limit that decides
+    most of them; after a success the limits deepen from 0, so the witness is
+    the one an unbounded call finds. deadline is checked at every node.
     """
     if c.n_qubits > g.num_vertices:
         raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
@@ -137,6 +147,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     def dfs(done: int, remaining: int, last_edge: tuple[int, int] | None,
             memo: dict) -> bool:
+        if deadline is not None:
+            deadline.check()
         if done == full_mask:
             return True
         if heuristic(done) > remaining:
@@ -189,9 +201,15 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                 swap(u, v)
         return False
 
-    limits = range(bound + 1) if bound is not None else itertools.count()
-    for limit in limits:  # a failed dfs leaves ops, pos and occ empty
-        if dfs(0, limit, None, {}):
+    if bound is not None:
+        if not dfs(0, bound, None, {}):
+            return None
+        ops.clear()  # a failed dfs leaves these empty, a successful one does not
+        pos.clear()
+        occ.clear()
+    memo: dict = {}  # the probe's memo holds its own path, which is no failure
+    for limit in itertools.count() if bound is None else range(bound + 1):
+        if dfs(0, limit, None, memo):
             return _build_result(c, g, ops, limit)
     return None
 

@@ -81,9 +81,7 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
         subarchs = subarchitectures(g, k, deadline=deadline, cache_dir=cfg.cache_dir)
         # stable: members with equal edge counts keep their first-seen order
         for member in sorted(subarchs.members, key=lambda m: -m.num_edges):
-            if deadline is not None:
-                deadline.check()
-            result = map_optimal(c, member, bound=bound)
+            result = map_optimal(c, member, bound=bound, deadline=deadline)
             if result is None:
                 report.outcomes.append(
                     MemberOutcome(k, member.vertices, "bound-fail"))

@@ -5,6 +5,7 @@ import pytest
 
 from subarchmap import (CouplingGraph, Circuit, Gate, induced_subgraph, is_connected,
                         maximal)
+from subarchmap.maximal import BudgetExceeded
 
 
 def pytest_addoption(parser):
@@ -37,6 +38,18 @@ def computations(monkeypatch) -> list[int]:
         return compute(g, k, **kwargs)
     monkeypatch.setattr(maximal, "max_subarchitectures", counted)
     return calls
+
+
+class CountdownDeadline:
+    """A Deadline that expires after a given number of checks, with no clock."""
+
+    def __init__(self, checks: int):
+        self.left = checks
+
+    def check(self) -> None:
+        if self.left == 0:
+            raise BudgetExceeded("countdown expired")
+        self.left -= 1
 
 
 def random_connected_graph(rng: random.Random, n: int,

@@ -298,6 +298,18 @@ MALFORMED = {
     "cache-is-a-file-map": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
         "--cache", _write(t / "cache", "")],
+    "budget-nan-subarch": lambda t: [
+        "subarch", "--platform", "tokyo", "--size", "8", "--budget", "nan"],
+    "budget-negative-subarch": lambda t: [
+        "subarch", "--platform", "tokyo", "--size", "8", "--budget", "-1"],
+    "budget-zero-subarch": lambda t: [
+        "subarch", "--platform", "tokyo", "--size", "8", "--budget", "0"],
+    "budget-negative-bench": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
+        "--budget", "-1"],
+    "budget-nan-bench": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
+        "--budget", "nan"],
     "cache-is-a-file-bench": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
         "--cache", _write(t / "cache", "")],

@@ -7,9 +7,11 @@ import pytest
 from subarchmap import (Circuit, CouplingGraph, Gate, brute_force_optimal,
                         map_optimal)
 from subarchmap.mapper import OracleLimitError
+from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
 
-from conftest import make_ring_circuit, random_circuit, random_connected_graph
+from conftest import (CountdownDeadline, make_ring_circuit, random_circuit,
+                      random_connected_graph)
 
 
 def path(n):
@@ -41,6 +43,15 @@ class TestMapOptimal:
     def test_bound_too_small_returns_none(self):
         c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 2))))
         assert map_optimal(c, path(3), bound=0) is None
+
+    def test_deadline_is_checked_inside_one_call(self):
+        c, g = make_ring_circuit(6), path(6)
+        deadline = CountdownDeadline(10**9)
+        assert map_optimal(c, g, deadline=deadline) == map_optimal(c, g)
+        checks = 10**9 - deadline.left  # one per search node
+        assert checks > 1
+        with pytest.raises(BudgetExceeded):
+            map_optimal(c, g, deadline=CountdownDeadline(checks - 1))
 
     def test_unary_gates_only(self):
         c = Circuit(2, (Gate("h", (0,)), Gate("x", (1,))))
@@ -193,8 +204,21 @@ def bfs_min_swaps(c: Circuit, g: CouplingGraph, relaxed: bool) -> int:
 def test_agrees_with_bfs_beyond_brute_force_limits(relaxed):
     # 6-7 vertices and 9-12 gates are past brute_force_optimal's limits; sparse
     # targets make the optima 0-4 swaps, and relaxed order saves swaps on some.
+    # A bound below the optimum finds nothing, and any other bound finds what
+    # the unbounded call finds. The bounded calls run first, so a search that
+    # never ends without a bound fails here instead of hanging.
     rng = random.Random(5)
     for _ in range(14):
         g = random_connected_graph(rng, rng.randrange(6, 8), rng.randrange(2))
         c = random_circuit(rng, rng.randrange(4, 6), rng.randrange(9, 13))
-        assert map_optimal(c, g, relaxed=relaxed).swaps == bfs_min_swaps(c, g, relaxed)
+        opt = bfs_min_swaps(c, g, relaxed)
+        bounded = {b: map_optimal(c, g, bound=b, relaxed=relaxed)
+                   for b in range(max(opt - 1, 0), opt + 3)}
+        if opt:
+            assert bounded[opt - 1] is None
+        assert bounded[opt] is not None and bounded[opt].swaps == opt
+        r = map_optimal(c, g, relaxed=relaxed)
+        assert r.swaps == opt
+        for b in range(opt, opt + 3):
+            assert (bounded[b].swaps, bounded[b].mapped.gates, bounded[b].initial) \
+                == (r.swaps, r.mapped.gates, r.initial)

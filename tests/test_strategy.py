@@ -6,9 +6,11 @@ from click.testing import CliRunner
 from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig, emit_qasm,
                         load_platform, map_with_subarch, maximal, optimality_certificate)
 from subarchmap.cli import main
+from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
 
-from conftest import make_ring_circuit, random_circuit, random_connected_graph
+from conftest import (CountdownDeadline, make_ring_circuit, random_circuit,
+                      random_connected_graph)
 
 
 def cycle(n):
@@ -80,6 +82,15 @@ def test_certificate_shape():
     assert cert["optimal"] is True
     assert cert["swaps"] == 1
     assert len(cert["bound_chain"]) == report.map_calls
+
+
+def test_deadline_reaches_inside_each_map_call():
+    g, c, cfg = cycle(6), make_ring_circuit(5), StrategyConfig(max_ancillas=1)
+    calls = map_with_subarch(g, c, cfg).map_calls  # also fills the store
+    # With the store warm, only the mapper checks the deadline, and one check
+    # per map_optimal call would never exhaust this countdown.
+    with pytest.raises(BudgetExceeded):
+        map_with_subarch(g, c, cfg, deadline=CountdownDeadline(calls))
 
 
 def test_negative_ancilla_budget_is_rejected():
