@@ -20,9 +20,17 @@ class CouplingGraph:
     Vertex labels are preserved through every operation (never re-indexed),
     so an allocation onto an induced subgraph is directly an allocation onto
     the platform it was cut from. Instances are immutable and hashable.
+
+    Each instance also caches data derived from its vertices and edges, each
+    built at most once, on first use: `_rows[i]` is the neighbour bitmask of
+    `vertices[i]` (bit j set iff `vertices[j]` is a neighbour; `vertices` is
+    sorted, so ascending bits are ascending labels), and the isomorphism
+    module keeps its search plan and degree masks in `_plan` and `_at_least`.
+    None of it enters equality or hashing.
     """
 
-    __slots__ = ("name", "vertices", "edges", "_adj", "_hash")
+    __slots__ = ("name", "vertices", "edges", "_adj", "_hash", "_rows", "_plan",
+                 "_at_least")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
@@ -47,6 +55,8 @@ class CouplingGraph:
             adj[v].append(u)
         object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
         object.__setattr__(self, "_hash", hash((vs, self.edges)))
+        for derived in ("_rows", "_plan", "_at_least"):
+            object.__setattr__(self, derived, None)
 
     def __setattr__(self, key, value):
         raise AttributeError("CouplingGraph is immutable")
@@ -62,11 +72,20 @@ class CouplingGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
+
+    def _neighbour_rows(self) -> tuple[int, ...]:
+        """`_rows`, built on first use: graphs that are never matched, such as
+        most platforms, never pay for them."""
+        if self._rows is None:
+            pos = {v: i for i, v in enumerate(self.vertices)}
+            rows = [0] * len(pos)
+            for u, v in self.edges:
+                rows[pos[u]] |= 1 << pos[v]
+                rows[pos[v]] |= 1 << pos[u]
+            object.__setattr__(self, "_rows", tuple(rows))
+        return self._rows
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(ns) for ns in self._adj.values()))
@@ -150,9 +169,9 @@ def is_connected(g: CouplingGraph) -> bool:
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
     """Induced subgraph on `members`, keeping original vertex labels."""
     s = set(members)
-    missing = s - set(g.vertices)
+    adj = g._adj
+    missing = [v for v in s if v not in adj]
     if missing:
         raise ValueError(f"not vertices of the graph: {sorted(missing)}")
-    kept = [(u, v) for u, v in g.edges if u in s and v in s]
+    kept = [(u, v) for u in s for v in adj[u] if u < v and v in s]
     return CouplingGraph(s, kept, name=g.name)
-

@@ -3,7 +3,13 @@
 The hash is a Weisfeiler-Lehman color refinement: isomorphic graphs always
 collide, and most non-isomorphic ones do not, so it only buckets graphs for
 the exact checks. Both exact checks run one backtracking monomorphism matcher
-with degree-based pruning, which answers yes or no.
+on bitmasks, which answers yes or no. It reads each graph's neighbour rows
+(`CouplingGraph._rows`, one int per vertex) and caches two more things on the
+graphs it meets: a pattern's search plan (its vertex order, with each step's
+degree and earlier-placed neighbour steps) and a host's degree masks (the
+vertices of degree at least d, for each d). A step's candidates then cost one
+int `&` per placed neighbour, VF2-style (Cordella et al., TPAMI 2004), and a
+pattern or host met again costs no set-up.
 """
 
 from __future__ import annotations
@@ -21,22 +27,28 @@ def wl_hash(g: CouplingGraph) -> int:
     tuples, so the value is stable across runs. Non-isomorphic graphs can
     share a value: it is a bucket key, never a verdict.
     """
-    colors = {v: g.degree(v) for v in g.vertices}
+    adj = g._adj
+    colors = {v: len(ns) for v, ns in adj.items()}
     for _ in range(3):
-        colors = {v: hash((colors[v], tuple(sorted(colors[u] for u in g.neighbors(v)))))
-                  for v in g.vertices}
+        colors = {v: hash((colors[v], tuple(sorted([colors[u] for u in ns]))))
+                  for v, ns in adj.items()}
     return hash((g.num_vertices, g.num_edges, tuple(sorted(colors.values()))))
 
 
 def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:
-    """True iff an edge-preserving bijection between the two graphs exists."""
+    """True iff an edge-preserving bijection between the two graphs exists.
+
+    g2 is the matcher's pattern and g1 its host, so a caller that checks many
+    graphs against one representative passes the representative second and
+    the representative's search plan is built once.
+    """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return False
     if g1.degree_sequence() != g2.degree_sequence():
         return False
     # With equal vertex and edge counts a monomorphism is a bijection carrying
     # the edges onto the edges: an isomorphism.
-    return subgraph_isomorphic(g1, g2)
+    return subgraph_isomorphic(g2, g1)
 
 
 def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
@@ -47,39 +59,68 @@ def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
     """
     if pattern.num_vertices > host.num_vertices or pattern.num_edges > host.num_edges:
         return False
+    steps = _plan(pattern)
+    rows = host._neighbour_rows()
+    at_least = _at_least(host)
+    n = len(steps)
+    image = [0] * n  # image[i]: row of the host vertex that step i placed
 
-    # Place next a vertex touching an already-placed one when there is one, so
-    # anchored vertices prune hard; highest degree first, then lowest label.
-    order: list[int] = []
-    remaining = set(pattern.vertices)
-    while remaining:
-        touching = [v for v in remaining if not remaining.issuperset(pattern.neighbors(v))]
-        v = max(touching or remaining, key=lambda x: (pattern.degree(x), -x))
-        order.append(v)
-        remaining.remove(v)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
+    def place(i: int, used: int) -> bool:
+        if i == n:
             return True
-        pv = order[idx]
-        # Candidates are adjacent to the image of every placed neighbor of pv,
-        # so each one carries all of pv's edges to placed vertices.
-        mapped_nbrs = [mapping[u] for u in pattern.neighbors(pv) if u in mapping]
-        cands = set(host.neighbors(mapped_nbrs[0])) if mapped_nbrs else set(host.vertices)
-        for mv in mapped_nbrs[1:]:
-            cands &= set(host.neighbors(mv))
-        for hv in sorted(cands - used):
-            if host.degree(hv) < pattern.degree(pv):
-                continue
-            mapping[pv] = hv
-            used.add(hv)
-            if backtrack(idx + 1):
+        degree, back = steps[i]
+        # Each candidate has the vertex's degree at least and is adjacent to
+        # the image of every placed neighbour, so it carries all of the
+        # vertex's edges to placed vertices.
+        c = at_least[degree] & ~used
+        for j in back:
+            c &= image[j]
+        while c:
+            b = c & -c  # lowest bit: candidates are tried in ascending label order
+            image[i] = rows[b.bit_length() - 1]
+            if place(i + 1, used | b):
                 return True
-            del mapping[pv]
-            used.remove(hv)
+            c ^= b
         return False
 
-    return backtrack(0)
+    return place(0, 0)
+
+
+def _plan(pattern: CouplingGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The pattern's search plan, built once per graph: per step, the degree
+    of the vertex it places and the earlier steps that place its neighbours.
+
+    Place next a vertex touching an already-placed one when there is one, so
+    anchored vertices prune hard; highest degree first, then lowest label.
+    """
+    if pattern._plan is None:
+        rows = pattern._neighbour_rows()
+        degree = [r.bit_count() for r in rows]
+        step_of: dict[int, int] = {}
+        placed = 0
+        remaining = list(range(len(rows)))
+        steps = []
+        while remaining:
+            touching = [v for v in remaining if rows[v] & placed]
+            v = max(touching or remaining, key=lambda x: (degree[x], -x))
+            remaining.remove(v)
+            back = tuple(s for u, s in step_of.items() if rows[v] >> u & 1)
+            step_of[v] = len(steps)
+            steps.append((degree[v], back))
+            placed |= 1 << v
+        object.__setattr__(pattern, "_plan", tuple(steps))
+    return pattern._plan
+
+
+def _at_least(host: CouplingGraph) -> tuple[int, ...]:
+    """Host degree masks, built once per graph: entry d has the bit of every
+    vertex of degree d or more. There is one entry per vertex count, so any
+    pattern no larger than the host can index it."""
+    if host._at_least is None:
+        masks = [0] * host.num_vertices
+        for i, r in enumerate(host._neighbour_rows()):
+            masks[r.bit_count()] |= 1 << i
+        for d in range(len(masks) - 2, -1, -1):
+            masks[d] |= masks[d + 1]
+        object.__setattr__(host, "_at_least", tuple(masks))
+    return host._at_least

@@ -1,9 +1,11 @@
+import itertools
 import json
+import random
 
 import pytest
 
 from subarchmap import (CouplingGraph, induced_subgraph, is_connected,
-                        load_platform, parse_platform)
+                        load_platform, parse_platform, subgraph_isomorphic)
 from subarchmap.graphs import PlatformError
 
 
@@ -20,7 +22,7 @@ class TestCouplingGraph:
     def test_neighbors_sorted(self):
         g = CouplingGraph(range(4), [(2, 0), (0, 3), (0, 1)])
         assert g.neighbors(0) == (1, 2, 3)
-        assert g.degree(0) == 3 and g.degree(1) == 1
+        assert g.neighbors(1) == (0,)
 
     def test_has_edge_orientation(self):
         g = path_graph(3)
@@ -125,6 +127,32 @@ def test_induced_subgraph_keeps_labels():
     sub = induced_subgraph(g, [1, 2, 4])
     assert sub.vertices == (1, 2, 4)
     assert sub.edges == frozenset({(1, 2)})
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [0, 9])
+    with pytest.raises(ValueError, match=r"^not vertices of the graph: \[9, 11\]$"):
+        induced_subgraph(g, [0, 11, 9])
+
+
+def test_induced_subgraph_matches_edge_filter():
+    rng = random.Random(9)
+    verts = rng.sample(range(200), 30)
+    g = CouplingGraph(verts, [e for e in itertools.combinations(verts, 2)
+                              if rng.random() < 0.15], name="sparse")
+    for _ in range(50):
+        members = set(rng.sample(verts, rng.randrange(0, 12)))
+        sub = induced_subgraph(g, members)
+        assert sub.vertices == tuple(sorted(members))
+        assert sub.edges == {(u, v) for u, v in g.edges if u in members and v in members}
+        assert sub.name == "sparse"
+
+
+def test_neighbour_rows_follow_sorted_labels():
+    g = CouplingGraph([40, 7, 193, 12], [(7, 193), (40, 12), (12, 7)])
+    # vertices are (7, 12, 40, 193), and bit i of a row stands for vertices[i]
+    assert g._neighbour_rows() == (0b1010, 0b0101, 0b0010, 0b0001)
+
+
+def test_cached_search_data_stays_out_of_equality_and_hash():
+    a, b = path_graph(4), path_graph(4)
+    assert subgraph_isomorphic(a, b)
+    assert a._plan is not None and b._plan is None
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
 

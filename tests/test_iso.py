@@ -109,3 +109,46 @@ class TestAgainstNetworkxVf2:
             assert subgraph_isomorphic(pattern, host) == want, (pattern.edges, host.edges)
             answers.add(want)
         assert answers == {True, False}
+
+    def test_subgraph_isomorphic_any_labels_and_shapes(self):
+        # One pattern object meets every host and one host every pattern, so
+        # the plan and degree masks cached on first use are reused throughout.
+        patterns, hosts = loose_corpus(45, 60), loose_corpus(46, 60)
+        answers = set()
+        for pattern, host in itertools.product(patterns, hosts):
+            want = vf2(host, pattern).subgraph_is_monomorphic()
+            assert subgraph_isomorphic(pattern, host) == want, (pattern.vertices,
+                                                                pattern.edges, host.edges)
+            answers.add(want)
+        assert answers == {True, False}
+
+    def test_is_isomorphic_any_labels_and_shapes(self):
+        graphs = loose_corpus(47, 60)
+        rng = random.Random(48)
+        for g in graphs[:30]:
+            labels = rng.sample(LABELS, g.num_vertices)
+            graphs.append(relabel_graph(g, dict(zip(g.vertices, labels))))
+        answers = set()
+        for a, b in itertools.product(graphs, repeat=2):
+            if a.num_vertices == b.num_vertices:
+                want = vf2(b, a).is_isomorphic()
+                assert is_isomorphic(a, b) == want == is_isomorphic(b, a), (a.edges, b.edges)
+                answers.add(want)
+        assert answers == {True, False}
+
+
+LABELS = range(200)
+
+
+def loose_corpus(seed, count):
+    """Graphs of 0-7 vertices on labels sampled from LABELS, as platform
+    members carry: the edge density is random, so some are disconnected or
+    have isolated vertices. The empty and one-vertex graphs always come first."""
+    rng = random.Random(seed)
+    graphs = [CouplingGraph([], []), CouplingGraph([rng.choice(LABELS)], [])]
+    while len(graphs) < count:
+        verts = rng.sample(LABELS, rng.randrange(2, 8))
+        density = rng.random()
+        graphs.append(CouplingGraph(verts, [e for e in itertools.combinations(verts, 2)
+                                            if rng.random() < density]))
+    return graphs
