@@ -254,8 +254,3 @@ def circuits_equal(a: Circuit, b: Circuit, mode: str = "strict") -> bool:
         return normal_form(a) == normal_form(b)
     raise ValueError(f"unknown mode {mode!r}")
 
-
-def gate_equivalent_cost(swaps: int) -> int:
-    """Reporting helper: each swap costs 3 cx gates when decomposed."""
-    return 3 * swaps
-

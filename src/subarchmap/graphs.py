@@ -19,7 +19,7 @@ class CouplingGraph:
 
     Vertex labels are preserved through every operation (never re-indexed),
     so an allocation onto an induced subgraph is directly an allocation onto
-    the platform it was cut from. Instances are immutable and hashable.
+    the platform it was cut from. Instances are immutable, hashable and picklable.
 
     Each instance also caches data derived from its vertices and edges, each
     built at most once, on first use: `_rows[i]` is the neighbour bitmask of
@@ -29,8 +29,7 @@ class CouplingGraph:
     None of it enters equality or hashing.
     """
 
-    __slots__ = ("name", "vertices", "edges", "_adj", "_hash", "_rows", "_plan",
-                 "_at_least")
+    __slots__ = ("name", "vertices", "edges", "_adj", "_rows", "_plan", "_at_least")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
@@ -54,7 +53,6 @@ class CouplingGraph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
-        object.__setattr__(self, "_hash", hash((vs, self.edges)))
         for derived in ("_rows", "_plan", "_at_least"):
             object.__setattr__(self, derived, None)
 
@@ -87,16 +85,17 @@ class CouplingGraph:
             object.__setattr__(self, "_rows", tuple(rows))
         return self._rows
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(ns) for ns in self._adj.values()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CouplingGraph):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.vertices, self.edges))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses them
+        return type(self), (self.vertices, sorted(self.edges), self.name)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -150,20 +149,22 @@ def load_platform(spec: str | Path) -> CouplingGraph:
     raise PlatformError(f"unknown platform {spec!r}: not a file or built-in name")
 
 
-def is_connected(g: CouplingGraph) -> bool:
-    """True iff every vertex pair is joined by a path. Empty and singleton graphs count."""
-    if g.num_vertices <= 1:
-        return True
-    start = g.vertices[0]
-    seen = {start}
-    queue = deque([start])
+def distances(g: CouplingGraph, source: int) -> dict[int, int]:
+    """Hop distance from `source` to every vertex reachable from it, by BFS."""
+    dist = {source: 0}
+    queue = deque([source])
     while queue:
         v = queue.popleft()
         for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
+            if w not in dist:
+                dist[w] = dist[v] + 1
                 queue.append(w)
-    return len(seen) == g.num_vertices
+    return dist
+
+
+def is_connected(g: CouplingGraph) -> bool:
+    """True iff every vertex pair is joined by a path. Empty and singleton graphs count."""
+    return g.num_vertices <= 1 or len(distances(g, g.vertices[0])) == g.num_vertices
 
 
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:

@@ -9,11 +9,10 @@ exhaustive oracle that shares none of this search machinery.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .circuits import PHYSICAL, Allocation, Circuit, Gate
-from .graphs import CouplingGraph, is_connected
+from .graphs import CouplingGraph, distances, is_connected
 from .maximal import Deadline
 
 
@@ -30,21 +29,6 @@ class MapResult:
     initial: Allocation
     swaps: int
     subarch: CouplingGraph
-
-
-def _all_pairs_distances(g: CouplingGraph) -> dict[int, dict[int, int]]:
-    dist: dict[int, dict[int, int]] = {}
-    for s in g.vertices:
-        d = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in d:
-                    d[w] = d[v] + 1
-                    queue.append(w)
-        dist[s] = d
-    return dist
 
 
 def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
@@ -87,7 +71,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     gates = c.gates
     m = len(gates)
-    dist = _all_pairs_distances(g)
+    dist = {s: distances(g, s) for s in g.vertices}
     edges = sorted(g.edges)
 
     # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits

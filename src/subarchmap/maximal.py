@@ -8,6 +8,7 @@ maximal under subgraph isomorphism (no member embeds into another member).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import OrderedDict
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .graphs import CouplingGraph, induced_subgraph
 from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
-from .subgraphs import connected_subgraphs, count_all_subsets
+from .subgraphs import connected_subgraphs
 
 CACHE_FORMAT = 2  # bump whenever files written before may differ from a fresh run
 STORE_SIZE = 64  # (platform, k) results kept in process; least recently used go first
@@ -111,7 +112,7 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     t_max = time.perf_counter() - t0
 
     counts = {
-        "all_subsets": count_all_subsets(g.num_vertices, k),
+        "all_subsets": math.comb(g.num_vertices, k),
         "connected": connected,
         "noniso": len(classes),
         "max": len(members),

@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .graphs import CouplingGraph, is_connected
-
-
-def count_all_subsets(p: int, k: int) -> int:
-    """Number of k-subsets of p vertices. Exact (Python big ints)."""
-    if not 0 <= k <= p:
-        raise ValueError(f"k={k} out of range for p={p}")
-    return math.comb(p, k)
 
 
 def connected_subgraphs(g: CouplingGraph, k: int) -> Iterator[tuple[int, ...]]:

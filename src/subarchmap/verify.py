@@ -1,4 +1,4 @@
-"""Independent checking of mapped circuits: feasibility, equivalence, lifting.
+"""Independent checking of mapped circuits: feasibility and equivalence.
 
 This module is the trusted base for the test suite: it shares the data types
 with the mapper but none of its search code, and no isomorphism code at all.
@@ -71,17 +71,3 @@ def verify_result(original: Circuit, result: MapResult, g: CouplingGraph,
     feas = check_feasibility(result.mapped, g)
     equiv = check_equivalence(original, result.mapped, result.initial, mode)
     return make_verdict(result.mapped, feas, equiv, mode)
-
-
-def lift_to_platform(r: MapResult, g: CouplingGraph) -> MapResult:
-    """Re-target a result from its subarchitecture to the full platform.
-
-    A subarchitecture is an induced subgraph that keeps the platform's labels,
-    so the lift is the identity embedding. This checks that r.subarch is a
-    labelled subgraph of g (both store each edge as (u, v) with u < v), then
-    widens the register; nothing is relabeled and the swap count is unchanged.
-    """
-    if not (set(r.subarch.vertices) <= set(g.vertices) and r.subarch.edges <= g.edges):
-        raise ValueError("subarchitecture does not embed into the platform")
-    mapped = Circuit(max(g.vertices) + 1, r.mapped.gates, r.mapped.space)
-    return MapResult(mapped, r.initial, r.swaps, g)

@@ -7,9 +7,8 @@ import time
 import pytest
 
 from subarchmap import (StrategyConfig, brute_force_optimal, connected_subgraphs,
-                        induced_subgraph, is_isomorphic, lift_to_platform,
-                        load_platform, map_optimal, map_with_subarch,
-                        max_subarchitectures, wl_hash)
+                        induced_subgraph, is_isomorphic, load_platform, map_optimal,
+                        map_with_subarch, max_subarchitectures, wl_hash)
 from subarchmap.graphs import CouplingGraph
 from subarchmap.maximal import BudgetExceeded, Deadline
 from subarchmap.mapper import OracleLimitError
@@ -162,9 +161,11 @@ def test_criterion_6_enumeration_oracle(corpus_graphs):
 
 
 def test_criterion_7_lifting_preserves_everything(mapping_corpus):
+    # A member keeps the platform's labels, so the lift to the platform is the
+    # identity: the result is checked against the platform as it stands.
     instances, _ = mapping_corpus
     failures = 0
-    lifted_total = 0
+    checked = 0
     for inst in instances:
         g, c = inst["g"], inst["c"]
         for outcome in inst["report"].outcomes:
@@ -172,12 +173,14 @@ def test_criterion_7_lifting_preserves_everything(mapping_corpus):
                 continue
             sub = induced_subgraph(g, outcome.subarch_vertices)
             r = map_optimal(c, sub, bound=outcome.swaps)
-            lifted = lift_to_platform(r, g)
-            lifted_total += 1
-            if lifted.swaps != outcome.swaps or not verify_result(c, lifted, g).ok:
+            checked += 1
+            on_platform = (set(r.subarch.vertices) <= set(g.vertices)
+                           and r.subarch.edges <= g.edges)
+            if not on_platform or r.swaps != outcome.swaps \
+                    or not verify_result(c, r, g).ok:
                 failures += 1
-    _report(7, failures == 0 and lifted_total > 0,
-            f"{lifted_total} lifted results, {failures} failures")
+    _report(7, failures == 0 and checked > 0,
+            f"{checked} results checked on the platform, {failures} failures")
 
 
 def test_criterion_9_monotonicity(mapping_corpus):

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from subarchmap import Allocation, Circuit, Gate, circuits_equal, unmap
 from subarchmap.circuits import (PHYSICAL, QasmError, UnmapError, emit_qasm,
-                                 gate_equivalent_cost, normal_form,
-                                 parse_layout_comments, parse_qasm)
+                                 normal_form, parse_layout_comments, parse_qasm)
 
 
 class TestGate:
@@ -163,7 +162,3 @@ class TestEquivalence:
         c = Circuit(4, tuple(gates))
         assert sorted(normal_form(c), key=repr) == sorted(gates, key=repr)
         assert circuits_equal(c, Circuit(4, normal_form(c)), "relaxed")
-
-
-def test_gate_equivalent_cost():
-    assert gate_equivalent_cost(5) == 15

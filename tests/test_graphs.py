@@ -1,12 +1,16 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
 from subarchmap import (CouplingGraph, induced_subgraph, is_connected,
                         load_platform, parse_platform, subgraph_isomorphic)
-from subarchmap.graphs import PlatformError
+from subarchmap.graphs import PlatformError, distances
+
+from conftest import random_connected_graph, relabel_graph, to_networkx
 
 
 def path_graph(n):
@@ -47,6 +51,21 @@ class TestCouplingGraph:
             g.name = "other"
         assert g == path_graph(3)
         assert len({g, path_graph(3)}) == 1
+        shuffled = CouplingGraph([2, 0, 1], [(2, 1), (1, 0)])
+        assert shuffled == g and hash(shuffled) == hash(g)
+
+    @pytest.mark.parametrize("roundtrip", [
+        copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("matched_first", [False, True])
+    def test_copy_and_pickle(self, roundtrip, matched_first):
+        g = CouplingGraph([40, 7, 193, 12], [(7, 193), (40, 12), (12, 7)], name="toy")
+        if matched_first:  # build the cached rows, plan and degree masks first
+            assert subgraph_isomorphic(g, g)
+        h = roundtrip(g)
+        assert h == g and hash(h) == hash(g) and h.name == "toy"
+        assert all(h.neighbors(v) == g.neighbors(v) for v in g.vertices)
+        assert subgraph_isomorphic(h, g) and subgraph_isomorphic(g, h)
 
     def test_digest_ignores_edge_order(self):
         a = CouplingGraph(range(3), [(0, 1), (1, 2)])
@@ -113,6 +132,28 @@ class TestLoadPlatform:
     def test_unknown_name(self):
         with pytest.raises(PlatformError, match="unknown platform"):
             load_platform("atlantis")
+
+
+def test_bfs_matches_networkx():
+    # connected and disconnected graphs on non-contiguous labels, and the 0-
+    # and 1-vertex graphs
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    graphs = [CouplingGraph([], []), CouplingGraph([7], [])]
+    for n in range(2, 12):
+        g = random_connected_graph(rng, n)
+        labels = rng.sample(range(200), 2 * n)
+        graphs.append(relabel_graph(g, dict(zip(g.vertices, labels))))
+        # a second component on n more labels, or isolated vertices
+        h = random_connected_graph(rng, n)
+        both = CouplingGraph(range(2 * n), list(g.edges) + [
+            (u + n, v + n) for u, v in h.edges if rng.random() < 0.7])
+        graphs.append(relabel_graph(both, dict(zip(both.vertices, labels))))
+    for g in graphs:
+        h = to_networkx(g)
+        assert is_connected(g) == (g.num_vertices == 0 or nx.is_connected(h)), g
+        for v in g.vertices:
+            assert distances(g, v) == nx.single_source_shortest_path_length(h, v), g
 
 
 def test_is_connected_small_cases():

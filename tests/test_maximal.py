@@ -29,7 +29,8 @@ def test_path_has_single_member():
     g = CouplingGraph(range(6), [(i, i + 1) for i in range(5)])
     ss = max_subarchitectures(g, 3)
     assert ss.counts_row() == (20, 4, 1, 1)
-    assert ss.members[0].degree_sequence() == (1, 1, 2)
+    m = ss.members[0]
+    assert sorted(len(m.neighbors(v)) for v in m.vertices) == [1, 1, 2]
 
 
 def test_cycle_with_chord():

@@ -3,17 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subarchmap import CouplingGraph, connected_subgraphs, count_all_subsets
+from subarchmap import CouplingGraph, connected_subgraphs
 
 from conftest import naive_connected_subsets, random_connected_graph
-
-
-def test_count_all_subsets_values():
-    assert count_all_subsets(16, 4) == 1820
-    assert count_all_subsets(20, 10) == 184756
-    assert count_all_subsets(5, 0) == 1
-    with pytest.raises(ValueError):
-        count_all_subsets(4, 5)
 
 
 def test_single_vertex_sets():

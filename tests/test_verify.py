@@ -2,11 +2,9 @@ import random
 import re
 from pathlib import Path
 
-import pytest
-
 from subarchmap import (Allocation, Circuit, CouplingGraph, Gate,
                         check_equivalence, check_feasibility, induced_subgraph,
-                        is_connected, lift_to_platform, map_optimal)
+                        is_connected, map_optimal)
 from subarchmap.circuits import PHYSICAL
 from subarchmap.verify import RELAXED, STRICT, verify_result
 
@@ -80,6 +78,9 @@ def test_verdict_roundtrip():
 
 
 class TestLifting:
+    """A member keeps the platform's labels, so its result is verified against
+    the platform directly; nothing is lifted or relabeled."""
+
     def test_identity_lift_from_induced_subgraph(self):
         rng = random.Random(4)
         for _ in range(10):
@@ -90,24 +91,25 @@ class TestLifting:
                 continue
             c = random_circuit(rng, 3, 5)
             r = map_optimal(c, sub)
-            lifted = lift_to_platform(r, g)
-            assert lifted.swaps == r.swaps
-            assert verify_result(c, lifted, g).ok
+            assert set(r.subarch.vertices) <= set(g.vertices)
+            assert r.subarch.edges <= g.edges
+            assert verify_result(c, r, g).ok
 
     def test_foreign_labels_are_not_relabeled(self):
         # a path isomorphic to part of path(5), but under labels g does not have
         sub = CouplingGraph([100, 101, 102], [(100, 101), (101, 102)])
         c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
-        r = map_optimal(c, sub)
-        with pytest.raises(ValueError, match="does not embed"):
-            lift_to_platform(r, path(5))
+        v = verify_result(c, map_optimal(c, sub), path(5))
+        assert v.feasible is False
+        assert any("non-platform qubit" in reason for _, reason in v.violations)
 
     def test_no_embedding(self):
         tri = CouplingGraph(range(3), [(0, 1), (1, 2), (0, 2)])
-        c = Circuit(3, (Gate("cx", (0, 1)),))
+        c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 2))))
         r = map_optimal(c, tri)
-        with pytest.raises(ValueError, match="does not embed"):
-            lift_to_platform(r, path(4))
+        assert not r.subarch.edges <= path(4).edges
+        # with no swaps the circuit uses all three triangle edges
+        assert r.swaps == 0 and not verify_result(c, r, path(4)).feasible
 
 
 def test_readme_library_imports_resolve():
