@@ -74,6 +74,8 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
     g = _load(platform, connected=True)
     if not 1 <= k <= g.num_vertices:
         raise click.UsageError(f"size {k} out of range for |P|={g.num_vertices}")
+    if stage == "connected" and (emit_dir or cache_dir):
+        raise click.UsageError("--emit and --cache need --stage full")
     deadline = Deadline(budget)
     try:
         if stage == "connected":
@@ -123,9 +125,13 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
               help="Write mapped QASM here (default: stdout).")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the machine-readable run report here.")
+@click.option("--budget", type=float, default=None, callback=_check_budget,
+              help="Wall-clock budget (s), > 0.")
 def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_dir,
-            out_path, report_path):
+            out_path, report_path, budget):
     """Map a circuit; emits mapped QASM plus a JSON summary."""
+    if full_architecture and cache_dir:
+        raise click.UsageError("--cache needs subarchitectures, not --full-architecture")
     g = _load(platform, connected=True)
     circ = _parse(Path(circuit_path).read_text(), "--circuit")
     if not 1 <= circ.n_qubits <= g.num_vertices:
@@ -142,18 +148,23 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_di
             raise click.UsageError(
                 '--ancillas takes a non-negative integer or "until-full"')
     report_doc: dict = {}
-    if full_architecture:
-        result = map_optimal(circ, g, bound=bound)
-        if result is not None:
-            report_doc["map_calls"] = 1
-    else:
-        cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound,
-                             cache_dir=cache_dir)
-        strat = map_with_subarch(g, circ, cfg)
-        result = strat.result
-        cert = optimality_certificate(strat, g, cfg)
-        report_doc = {"map_calls": strat.map_calls,
-                      "outcomes": cert["bound_chain"], "certificate": cert}
+    deadline = None if budget is None else Deadline(budget)
+    try:
+        if full_architecture:
+            result = map_optimal(circ, g, bound=bound, deadline=deadline)
+            if result is not None:
+                report_doc["map_calls"] = 1
+        else:
+            cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound,
+                                 cache_dir=cache_dir)
+            strat = map_with_subarch(g, circ, cfg, deadline)
+            result = strat.result
+            cert = optimality_certificate(strat, g, cfg)
+            report_doc = {"map_calls": strat.map_calls,
+                          "outcomes": cert["bound_chain"], "certificate": cert}
+    except BudgetExceeded:
+        click.echo("TO")
+        sys.exit(EXIT_BUDGET)
     if result is None:
         click.echo(json.dumps({"success": False}))
         sys.exit(EXIT_FAILURE)

@@ -48,6 +48,15 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     dependency chain gate i-1 -> gate i; relaxed order keeps only the
     dependencies through shared qubits. Nothing else depends on the order.
 
+    The state is flat and indexed by vertex rank in g.vertices: pos (per
+    logical qubit) and occ (per rank) are lists with -1 for none, the memo
+    key is (done, *occ), and hop counts sit in one k*k list. Each mask of
+    executed gates gets, on its first visit, a tuple of its ready gates and
+    one of its pending CX pairs, which the heuristic reads. g.vertices is
+    sorted, so rank order is label order: every loop tries its candidates in
+    label order, and the nodes visited and the witness depend on the labels
+    only through their order.
+
     The memo, written on entry, prunes a state reached with no more swaps
     left than recorded. Each entry of a failed dfs is a true failure: else
     take the one with the fewest-step completion within its swaps, running
@@ -71,8 +80,10 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     gates = c.gates
     m = len(gates)
-    dist = {s: distances(g, s) for s in g.vertices}
-    edges = sorted(g.edges)
+    k = g.num_vertices
+    dist = [row[w] for row in (distances(g, v) for v in g.vertices) for w in g.vertices]
+    nbrs = [[s for s in range(k) if dist[r * k + s] == 1] for r in range(k)]
+    edges = [(r, s) for r in range(k) for s in nbrs[r] if r < s]
 
     # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits
     # only for the previous gate on each of its qubits; strict order is the
@@ -88,46 +99,39 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         elif i:
             preds_mask[i] = 1 << (i - 1)
     full_mask = (1 << m) - 1
-    cx_bits = [(1 << i, *gate.qubits) for i, gate in enumerate(gates)
-               if gate.name == "cx"]
+    frontier: dict[int, tuple] = {}  # done -> (ready gates, pending CX pairs)
 
     ops: list[tuple] = []
-    pos: dict[int, int] = {}
-    occ: dict[int, int] = {}
+    # pos: the rank of each logical qubit, -1 while unbound, and one spare
+    # last slot that takes the writes made through a free rank's -1.
+    pos = [-1] * (c.n_qubits + 1)
+    occ = [-1] * k  # logical qubit at each rank, -1 while free
 
-    def heuristic(done: int) -> int:
-        h = 0
-        for bit, a, b in cx_bits:
-            if not done & bit and a in pos and b in pos:
-                h = max(h, dist[pos[a]][pos[b]] - 1)
-        return h
+    def heuristic(pairs: tuple[tuple[int, int], ...]) -> int:
+        h = 1  # a bound pair d apart needs d - 1 more swaps
+        for a, b in pairs:
+            pa, pb = pos[a], pos[b]
+            if pa >= 0 and pb >= 0 and dist[pa * k + pb] > h:
+                h = dist[pa * k + pb]
+        return h - 1
 
     def bindings(i: int) -> list[tuple[tuple[int, int], ...]]:
-        """New (logical, physical) bindings that let gate i run right now."""
+        """New (logical, rank) bindings that let gate i run right now."""
         gate = gates[i]
         if gate.name != "cx":
-            (q,) = gate.qubits
-            return [((q, p),) for p in g.vertices if p not in occ]
+            return [((gate.qubits[0], p),) for p in range(k) if occ[p] < 0]
         a, b = gate.qubits
-        if a in pos:
-            return [((b, p),) for p in g.neighbors(pos[a]) if p not in occ]
-        if b in pos:
-            return [((a, p),) for p in g.neighbors(pos[b]) if p not in occ]
-        moves = []
-        for u, v in edges:
-            if u not in occ and v not in occ:
-                moves += [((a, u), (b, v)), ((a, v), (b, u))]
-        return moves
+        if pos[a] >= 0:
+            return [((b, p),) for p in nbrs[pos[a]] if occ[p] < 0]
+        if pos[b] >= 0:
+            return [((a, p),) for p in nbrs[pos[b]] if occ[p] < 0]
+        return [move for u, v in edges if occ[u] < 0 and occ[v] < 0
+                for move in (((a, u), (b, v)), ((a, v), (b, u)))]
 
     def swap(u: int, v: int) -> None:
         """Exchange the contents of u and v; applying it twice undoes it."""
-        qu, qv = occ.pop(u, None), occ.pop(v, None)
-        if qu is not None:
-            occ[v] = qu
-            pos[qu] = v
-        if qv is not None:
-            occ[u] = qv
-            pos[qv] = u
+        occ[u], occ[v] = occ[v], occ[u]
+        pos[occ[u]], pos[occ[v]] = u, v
 
     def dfs(done: int, remaining: int, last_edge: tuple[int, int] | None,
             memo: dict) -> bool:
@@ -135,25 +139,28 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             deadline.check()
         if done == full_mask:
             return True
-        if heuristic(done) > remaining:
+        if done not in frontier:
+            left = [i for i in range(m) if not done >> i & 1]
+            frontier[done] = (tuple(i for i in left if preds_mask[i] & done == preds_mask[i]),
+                              tuple(gates[i].qubits for i in left if gates[i].name == "cx"))
+        ready, pairs = frontier[done]
+        if heuristic(pairs) > remaining:
             return False
-        key = (done, tuple(sorted(occ.items())))
+        key = (done, *occ)
         if memo.get(key, -1) >= remaining:
             return False
         memo[key] = remaining
 
         unbound = []
-        for i in range(m):
-            if done >> i & 1 or preds_mask[i] & done != preds_mask[i]:
-                continue
-            if any(q not in pos for q in gates[i].qubits):
+        for i in ready:
+            phys = tuple(pos[q] for q in gates[i].qubits)
+            if -1 in phys:
                 unbound.append(i)
                 continue
             # A ready gate that is fully bound and feasible can always be pulled
             # to the front of any completion without changing the swap count, so
             # commit to it and branch nowhere else.
-            phys = tuple(pos[q] for q in gates[i].qubits)
-            if gates[i].name != "cx" or g.has_edge(*phys):
+            if len(phys) == 1 or dist[phys[0] * k + phys[1]] == 1:
                 ops.append((i, phys))
                 if dfs(done | 1 << i, remaining, None, memo):
                     return True
@@ -170,13 +177,12 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     return True
                 ops.pop()
                 for q, p in new:
-                    del pos[q]
-                    del occ[p]
+                    pos[q] = occ[p] = -1
 
         if remaining > 0:
             for u, v in edges:
-                if (u, v) == last_edge or (u not in occ and v not in occ):
-                    continue  # an undo the memo would prune, or a no-op
+                if (u, v) == last_edge or occ[u] == occ[v]:
+                    continue  # an undo the memo would prune, or a no-op (both free)
                 swap(u, v)
                 ops.append((None, (u, v)))
                 if dfs(done, remaining - 1, (u, v), memo):
@@ -189,8 +195,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         if not dfs(0, bound, None, {}):
             return None
         ops.clear()  # a failed dfs leaves these empty, a successful one does not
-        pos.clear()
-        occ.clear()
+        pos[:] = [-1] * len(pos)
+        occ[:] = [-1] * k
     memo: dict = {}  # the probe's memo holds its own path, which is no failure
     for limit in itertools.count() if bound is None else range(bound + 1):
         if dfs(0, limit, None, memo):
@@ -204,7 +210,8 @@ def _build_result(c: Circuit, g: CouplingGraph, ops: list[tuple],
     init_of_cur = {p: p for p in g.vertices}
     alloc: dict[int, int] = {}
     phys_gates: list[Gate] = []
-    for i, phys in ops:
+    for i, ranks in ops:  # map_optimal's positions are vertex ranks
+        phys = tuple(g.vertices[r] for r in ranks)
         if i is None:
             u, v = phys
             phys_gates.append(Gate("swap", phys))

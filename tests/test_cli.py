@@ -53,6 +53,15 @@ class TestSubarch:
         assert res.exit_code == 0
         assert "connected: 5" in res.output
 
+    @pytest.mark.parametrize("option", ["--emit", "--cache"])
+    def test_connected_stage_refuses_emit_and_cache(self, runner, c5_path, tmp_path,
+                                                    option):
+        res = runner.invoke(main, ["subarch", "--platform", c5_path, "--size", "3",
+                                   "--stage", "connected", option, str(tmp_path / "d")])
+        assert res.exit_code == 2
+        assert option in res.output
+        assert not (tmp_path / "d").exists()
+
     def test_list_members(self, runner, c5_path):
         res = runner.invoke(main, ["subarch", "--platform", c5_path,
                                    "--size", "4", "--list"])
@@ -147,6 +156,34 @@ class TestMapVerify:
                                    "--out", str(out)])
         assert res.exit_code == 0
         assert json.loads(res.output)["swaps"] == 1
+
+    def test_full_architecture_refuses_cache(self, runner, c5_path, ring_path, tmp_path):
+        res = runner.invoke(main, ["map", "--platform", c5_path, "--circuit", ring_path,
+                                   "--full-architecture", "--cache", str(tmp_path / "d")])
+        assert res.exit_code == 2
+        assert "--cache" in res.output
+
+    @pytest.mark.parametrize("full", [[], ["--full-architecture"]])
+    def test_map_budget_expiry(self, runner, c5_path, ring_path, tmp_path, full):
+        out, rep = tmp_path / "mapped.qasm", tmp_path / "report.json"
+        res = runner.invoke(main, ["map", "--platform", c5_path, "--circuit", ring_path,
+                                   "--budget", "1e-9", "--out", str(out),
+                                   "--report", str(rep), *full])
+        assert res.exit_code == 3
+        assert res.output == "TO\n"
+        assert not out.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("full", [[], ["--full-architecture"]])
+    def test_map_generous_budget_changes_nothing(self, runner, ring_path, tmp_path, full):
+        runs = {}
+        for budget in ([], ["--budget", "1000"]):
+            out, rep = tmp_path / f"m{len(budget)}.qasm", tmp_path / f"r{len(budget)}.json"
+            res = runner.invoke(main, ["map", "--platform", "guadalupe", "--circuit",
+                                       ring_path, "--out", str(out), "--report", str(rep),
+                                       *full, *budget])
+            assert res.exit_code == 0, res.output
+            runs[len(budget)] = (res.output, out.read_bytes(), rep.read_bytes())
+        assert runs[0] == runs[2]
 
     def test_map_infeasible_bound(self, runner, c5_path, ring_path):
         res = runner.invoke(main, ["map", "--platform", c5_path,
@@ -304,6 +341,15 @@ MALFORMED = {
         "subarch", "--platform", "tokyo", "--size", "8", "--budget", "-1"],
     "budget-zero-subarch": lambda t: [
         "subarch", "--platform", "tokyo", "--size", "8", "--budget", "0"],
+    "budget-nan-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--budget", "nan"],
+    "budget-negative-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--budget", "-1"],
+    "budget-zero-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--budget", "0"],
     "budget-negative-bench": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
         "--budget", "-1"],

@@ -4,14 +4,15 @@ from collections import deque
 
 import pytest
 
-from subarchmap import (Circuit, CouplingGraph, Gate, brute_force_optimal,
-                        map_optimal)
+from subarchmap import (Allocation, Circuit, CouplingGraph, Gate, StrategyConfig,
+                        brute_force_optimal, induced_subgraph, load_platform,
+                        map_optimal, map_with_subarch)
 from subarchmap.mapper import OracleLimitError
 from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
 
 from conftest import (CountdownDeadline, make_ring_circuit, random_circuit,
-                      random_connected_graph)
+                      random_connected_graph, relabel_graph)
 
 
 def path(n):
@@ -222,3 +223,60 @@ def test_agrees_with_bfs_beyond_brute_force_limits(relaxed):
         for b in range(opt, opt + 3):
             assert (bounded[b].swaps, bounded[b].mapped.gates, bounded[b].initial) \
                 == (r.swaps, r.mapped.gates, r.initial)
+
+
+def outcome(r, perm=None):
+    """Swaps, mapped gates and initial layout of r, with vertex v renamed perm[v]."""
+    perm = perm or {v: v for v in r.subarch.vertices}
+    return (r.swaps, tuple(gate.relabel(perm) for gate in r.mapped.gates),
+            Allocation.from_dict({q: perm[p] for q, p in r.initial.forward}))
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_order_preserving_relabel_gives_the_relabelled_result(relaxed):
+    # The search runs on vertex ranks, so labels with gaps change nothing but
+    # the names: the same swaps, gates and layout, bounded or not.
+    rng = random.Random(8)
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randrange(4, 8), rng.randrange(3))
+        c = random_circuit(rng, rng.randrange(3, 5), rng.randrange(4, 10))
+        perm = dict(zip(g.vertices, sorted(rng.sample(range(200), g.num_vertices))))
+        h = relabel_graph(g, perm)
+        r = map_optimal(c, h, relaxed=relaxed)
+        assert outcome(r) == outcome(map_optimal(c, g, relaxed=relaxed), perm)
+        assert verify_result(c, r, h, "relaxed" if relaxed else "strict").ok
+        for b in range(max(r.swaps - 1, 0), r.swaps + 2):
+            on_g = map_optimal(c, g, bound=b, relaxed=relaxed)
+            on_h = map_optimal(c, h, bound=b, relaxed=relaxed)
+            assert (on_h is None) == (on_g is None) == (b < r.swaps)
+            if on_h is not None:
+                assert outcome(on_h) == outcome(on_g, perm)
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_shuffled_labels_keep_the_bfs_optimum(relaxed):
+    # A relabel that does not keep the order may change the witness, never
+    # the swap count.
+    rng = random.Random(9)
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randrange(5, 7), rng.randrange(2))
+        c = random_circuit(rng, rng.randrange(3, 5), rng.randrange(5, 10))
+        h = relabel_graph(g, dict(zip(g.vertices, rng.sample(range(200), g.num_vertices))))
+        r = map_optimal(c, h, relaxed=relaxed)
+        assert r.swaps == bfs_min_swaps(c, h, relaxed)
+        assert verify_result(c, r, h, "relaxed" if relaxed else "strict").ok
+
+
+def test_strategy_on_a_member_with_label_gaps():
+    # A guadalupe k=10 member as the platform: its labels have gaps, and the
+    # strategy maps onto its own subarchitectures under those labels.
+    guadalupe = load_platform("guadalupe")
+    member = induced_subgraph(guadalupe, (0, 1, 2, 4, 6, 7, 10, 12, 13, 15))
+    dense = relabel_graph(member, dict(zip(member.vertices, range(10))))
+    rng = random.Random(10)
+    for c in [make_ring_circuit(5)] + [random_circuit(rng, 5, 8) for _ in range(3)]:
+        r = map_with_subarch(member, c, StrategyConfig(max_ancillas=2)).result
+        assert verify_result(c, r, guadalupe).ok
+        assert set(r.subarch.vertices) <= set(member.vertices)
+        on_dense = map_with_subarch(dense, c, StrategyConfig(max_ancillas=2)).result
+        assert outcome(r) == outcome(on_dense, dict(zip(dense.vertices, member.vertices)))
