@@ -118,8 +118,8 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
               help="Initial swap bound.")
 @click.option("--full-architecture", is_flag=True,
               help="Map directly onto the whole platform, no subarchitectures.")
-@click.option("--ancillas", default="2",
-              help='Max ancilla qubits, or "until-full".')
+@click.option("--ancillas", default=None,
+              help='Max ancilla qubits (default 2), or "until-full".')
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write mapped QASM here (default: stdout).")
@@ -130,8 +130,9 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
 def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_dir,
             out_path, report_path, budget):
     """Map a circuit; emits mapped QASM plus a JSON summary."""
-    if full_architecture and cache_dir:
-        raise click.UsageError("--cache needs subarchitectures, not --full-architecture")
+    for name, value in (("--cache", cache_dir), ("--ancillas", ancillas)):
+        if full_architecture and value is not None:
+            raise click.UsageError(f"{name} needs subarchitectures, not --full-architecture")
     g = _load(platform, connected=True)
     circ = _parse(Path(circuit_path).read_text(), "--circuit")
     if not 1 <= circ.n_qubits <= g.num_vertices:
@@ -141,19 +142,17 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_di
         max_anc = None
     else:
         try:
-            max_anc = int(ancillas)
+            max_anc = int(2 if ancillas is None else ancillas)
         except ValueError:
             max_anc = -1
         if max_anc < 0:
             raise click.UsageError(
                 '--ancillas takes a non-negative integer or "until-full"')
-    report_doc: dict = {}
     deadline = None if budget is None else Deadline(budget)
     try:
         if full_architecture:
             result = map_optimal(circ, g, bound=bound, deadline=deadline)
-            if result is not None:
-                report_doc["map_calls"] = 1
+            report_doc = {"map_calls": 1}  # written only on success
         else:
             cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound,
                                  cache_dir=cache_dir)

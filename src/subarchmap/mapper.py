@@ -191,17 +191,20 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                 swap(u, v)
         return False
 
-    if bound is not None:
-        if not dfs(0, bound, None, {}):
-            return None
-        ops.clear()  # a failed dfs leaves these empty, a successful one does not
-        pos[:] = [-1] * len(pos)
-        occ[:] = [-1] * k
-    memo: dict = {}  # the probe's memo holds its own path, which is no failure
-    for limit in itertools.count() if bound is None else range(bound + 1):
-        if dfs(0, limit, None, memo):
-            return _build_result(c, g, ops, limit)
-    return None
+    try:
+        if bound is not None:
+            if not dfs(0, bound, None, {}):
+                return None
+            ops.clear()  # a failed dfs leaves these empty, a successful one does not
+            pos[:] = [-1] * len(pos)
+            occ[:] = [-1] * k
+        memo: dict = {}  # the probe's memo holds its own path, which is no failure
+        for limit in itertools.count() if bound is None else range(bound + 1):
+            if dfs(0, limit, None, memo):
+                return _build_result(c, g, ops, limit)
+        return None
+    finally:
+        del dfs  # it holds itself through its cell, and with it the search state
 
 
 def _build_result(c: Circuit, g: CouplingGraph, ops: list[tuple],

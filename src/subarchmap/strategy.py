@@ -2,7 +2,8 @@
 
 For each size k from n upward, the circuit is mapped onto every maximal
 k-subarchitecture, densest first, under the current swap bound; every success
-tightens the bound to S-1, and a zero-swap success returns immediately.
+tightens the bound to S-1, and a zero-swap success returns immediately. Levels
+the top level proves hopeless are recorded as bound failures without a search.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ class MemberOutcome:
     subarch_vertices: tuple[int, ...]
     status: str  # "success" | "bound-fail"
     swaps: int | None = None
+    inferred: bool = False  # decided by the k_max members, with no call
 
 
 @dataclass
 class StrategyReport:
-    """The best result found and one outcome per map_optimal call, in call order.
-
-    Every other fact about the run is derived from these two fields.
-    """
+    """The best result, one outcome per member reached in level order, and the
+    number of real map_optimal calls; inferred outcomes made none."""
     result: MapResult | None = None
     outcomes: list[MemberOutcome] = field(default_factory=list)
+    map_calls: int = 0
 
     @property
     def success(self) -> bool:
@@ -54,15 +55,22 @@ class StrategyReport:
         r = self.result
         return None if r is None else r.subarch.num_vertices - len(r.initial)
 
-    @property
-    def map_calls(self) -> int:
-        return len(self.outcomes)
-
 
 def map_with_subarch(g: CouplingGraph, c: Circuit,
                      cfg: StrategyConfig | None = None,
                      deadline: Deadline | None = None) -> StrategyReport:
-    """Best mapping of c onto g using at most cfg.max_ancillas ancilla qubits."""
+    """Best mapping of c onto g using at most cfg.max_ancillas ancilla qubits.
+
+    Before a level n < k < k_max starts under bound B, the k_max members are
+    mapped at B; if all fail, so does every member of levels k..k_max-1, with
+    no call. Proof (Peham, Burgholzer & Wille, ACM TQC 2023): g is connected,
+    so a connected k-subset grows one neighbour at a time into a connected
+    k_max-subset holding all its edges, whose class embeds into a kept k_max
+    member by maximality; a mapping onto the k-subset within B swaps uses
+    only its edges, so it carries over. Each member goes to map_optimal at
+    most once: the bound never rises, and a bounded success returns the
+    unbounded witness, so its record answers later attempts as a call would.
+    """
     cfg = cfg or StrategyConfig()
     n = c.n_qubits
     if n > g.num_vertices:
@@ -76,15 +84,29 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
         else min(g.num_vertices, n + cfg.max_ancillas)
     bound = cfg.initial_bound
     report = StrategyReport()
+    records: dict[tuple[int, ...], MapResult | None] = {}
 
+    def level(k: int) -> list[CouplingGraph]:  # stable: equal edge counts keep their order
+        members = subarchitectures(g, k, deadline=deadline, cache_dir=cfg.cache_dir).members
+        return sorted(members, key=lambda m: -m.num_edges)
+
+    def attempt(member: CouplingGraph) -> MapResult | None:
+        if member.vertices not in records:
+            report.map_calls += 1
+            records[member.vertices] = map_optimal(c, member, bound=bound, deadline=deadline)
+        r = records[member.vertices]
+        return r if r is not None and (bound is None or r.swaps <= bound) else None
+
+    hopeless = False  # every member below k_max fails under the bound in force
     for k in range(n, k_max + 1):
-        subarchs = subarchitectures(g, k, deadline=deadline, cache_dir=cfg.cache_dir)
-        # stable: members with equal edge counts keep their first-seen order
-        for member in sorted(subarchs.members, key=lambda m: -m.num_edges):
-            result = map_optimal(c, member, bound=bound, deadline=deadline)
+        if not hopeless and n < k < k_max:
+            hopeless = all(attempt(m) is None for m in level(k_max))
+        for member in level(k):
+            inferred = hopeless and k < k_max
+            result = None if inferred else attempt(member)
             if result is None:
                 report.outcomes.append(
-                    MemberOutcome(k, member.vertices, "bound-fail"))
+                    MemberOutcome(k, member.vertices, "bound-fail", inferred=inferred))
                 continue
             report.outcomes.append(
                 MemberOutcome(k, member.vertices, "success", result.swaps))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subarchmap import (CouplingGraph, Circuit, Gate, induced_subgraph, is_connected,
-                        maximal)
+                        maximal, strategy)
 from subarchmap.maximal import BudgetExceeded
 
 
@@ -37,6 +37,18 @@ def computations(monkeypatch) -> list[int]:
         calls.append(k)
         return compute(g, k, **kwargs)
     monkeypatch.setattr(maximal, "max_subarchitectures", counted)
+    return calls
+
+
+@pytest.fixture
+def mapped_members(monkeypatch) -> list[tuple[int, ...]]:
+    """The vertices of every member map_with_subarch passes to map_optimal."""
+    calls, map_optimal = [], strategy.map_optimal
+
+    def counted(c, g, **kwargs):
+        calls.append(g.vertices)
+        return map_optimal(c, g, **kwargs)
+    monkeypatch.setattr(strategy, "map_optimal", counted)
     return calls
 
 

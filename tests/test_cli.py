@@ -163,6 +163,29 @@ class TestMapVerify:
         assert res.exit_code == 2
         assert "--cache" in res.output
 
+    @pytest.mark.parametrize("ancillas", ["5", "2", "until-full"])
+    def test_full_architecture_refuses_ancillas(self, runner, c5_path, ring_path,
+                                                tmp_path, ancillas):
+        out = tmp_path / "mapped.qasm"
+        res = runner.invoke(main, ["map", "--platform", c5_path, "--circuit", ring_path,
+                                   "--full-architecture", "--ancillas", ancillas,
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "--ancillas" in res.output
+        assert not out.exists()
+
+    def test_map_ancillas_default_to_two(self, runner, ring_path, tmp_path):
+        runs = []
+        for given in ([], ["--ancillas", "2"]):
+            out, rep = tmp_path / f"m{len(given)}.qasm", tmp_path / f"r{len(given)}.json"
+            res = runner.invoke(main, ["map", "--platform", "guadalupe", "--circuit",
+                                       ring_path, "--out", str(out), "--report", str(rep),
+                                       *given])
+            assert res.exit_code == 0, res.output
+            runs.append((res.output, out.read_bytes(), rep.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][2])["certificate"]["ancilla_budget"] == 2
+
     @pytest.mark.parametrize("full", [[], ["--full-architecture"]])
     def test_map_budget_expiry(self, runner, c5_path, ring_path, tmp_path, full):
         out, rep = tmp_path / "mapped.qasm", tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import deque
@@ -280,3 +281,27 @@ def test_strategy_on_a_member_with_label_gaps():
         assert set(r.subarch.vertices) <= set(member.vertices)
         on_dense = map_with_subarch(dense, c, StrategyConfig(max_ancillas=2)).result
         assert outcome(r) == outcome(on_dense, dict(zip(dense.vertices, member.vertices)))
+
+
+@pytest.mark.parametrize("bound", [None, 0])
+def test_a_call_leaves_nothing_for_the_cycle_collector(bound):
+    g = load_platform("guadalupe")
+    c = Circuit(4, tuple(Gate("cx", p) for p in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    gc.collect()
+    gc.disable()
+    try:
+        map_optimal(c, g, bound=bound)  # bound 0 fails, None succeeds
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_call_cut_by_its_deadline_leaves_nothing_for_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(BudgetExceeded):
+            map_optimal(make_ring_circuit(5), cycle(6), deadline=CountdownDeadline(20))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
