@@ -1,4 +1,4 @@
-"""Circuit model, OpenQASM-2 subset parsing, allocations and the unmap transform."""
+"""Circuit model, OpenQASM-2 subset I/O, allocations, unmap, strict or per-qubit equality."""
 
 from __future__ import annotations
 
@@ -209,48 +209,26 @@ def parse_layout_comments(text: str) -> Allocation | None:
     return Allocation.from_dict(pairs) if pairs else None
 
 
-def normal_form(c: Circuit) -> tuple[Gate, ...]:
-    """Canonical reordering of a circuit modulo exchange of independent gates.
-
-    Gates sharing a qubit keep their relative order; among ready gates the one
-    with the smallest (name, qubits, params) signature is emitted first, with
-    original position as the stable tie-break. Two circuits are equal modulo
-    independent-gate permutation iff their normal forms are equal.
-    """
-    gates = list(c.gates)
-    n = len(gates)
-    preds: list[set[int]] = [set() for _ in range(n)]
-    last_on: dict[int, int] = {}
-    for i, g in enumerate(gates):
+def _wires(c: Circuit) -> dict[int, list[Gate]]:
+    """The gates acting on each qubit, in circuit order."""
+    wires: dict[int, list[Gate]] = {}
+    for g in c.gates:
         for q in g.qubits:
-            if q in last_on:
-                preds[i].add(last_on[q])
-            last_on[q] = i
-    indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for i, p in enumerate(preds):
-        for j in p:
-            succs[j].append(i)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    out: list[Gate] = []
-    while ready:
-        ready.sort(key=lambda i: (gates[i].name, gates[i].qubits, gates[i].params, i))
-        i = ready.pop(0)
-        out.append(gates[i])
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return tuple(out)
+            wires.setdefault(q, []).append(g)
+    return wires
 
 
 def circuits_equal(a: Circuit, b: Circuit, mode: str = "strict") -> bool:
-    """Gate-list equality (strict) or equality modulo independent-gate order (relaxed)."""
+    """Gate-list equality (strict) or equality modulo independent-gate order (relaxed).
+
+    Relaxed mode compares the gates on each qubit: lists that differ by swaps
+    of adjacent gates on disjoint qubits are exactly those whose wires agree
+    (the projection lemma of trace theory; Cori & Perrin 1985).
+    """
     if a.n_qubits != b.n_qubits:
         return False
     if mode == "strict":
         return a.gates == b.gates
     if mode == "relaxed":
-        return normal_form(a) == normal_form(b)
+        return _wires(a) == _wires(b)
     raise ValueError(f"unknown mode {mode!r}")
-

@@ -19,6 +19,7 @@ from .verify import RELAXED, STRICT, check_equivalence, check_feasibility, make_
 
 EXIT_FAILURE = 1
 EXIT_BUDGET = 3
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 @click.group()
@@ -57,6 +58,12 @@ def _check_budget(ctx, param, budget: float | None) -> float | None:
     return budget
 
 
+def _check_target(ctx, param, path: str | None) -> str | None:
+    if path is not None and not Path(path).parent.is_dir():
+        raise click.BadParameter(f"no directory {str(Path(path).parent)!r} to write into")
+    return path
+
+
 @main.command()
 @click.option("--platform", required=True, help="Built-in name or platform JSON path.")
 @click.option("--size", "k", type=int, required=True, help="Subarchitecture size k.")
@@ -76,6 +83,10 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
         raise click.UsageError(f"size {k} out of range for |P|={g.num_vertices}")
     if stage == "connected" and (emit_dir or cache_dir):
         raise click.UsageError("--emit and --cache need --stage full")
+    stem = f"{g.name or 'platform'}-k{k}"
+    if emit_dir and (Path(stem).name != stem or "\0" in stem):
+        raise click.BadParameter(f"platform name {g.name!r} is not a plain file name",
+                                 param_hint="--emit")
     deadline = Deadline(budget)
     try:
         if stage == "connected":
@@ -102,18 +113,20 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
             click.echo(" ".join(map(str, member.vertices)))
     if emit_dir:
         out = Path(emit_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, member in enumerate(ss.members):
-            relabel = {v: j for j, v in enumerate(member.vertices)}
-            doc = {"name": f"{g.name or 'platform'}-k{k}-{i}",
-                   "qubits": member.num_vertices,
-                   "edges": sorted([relabel[u], relabel[v]] for u, v in member.edges)}
-            (out / f"{doc['name']}.json").write_text(json.dumps(doc, indent=1))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for i, member in enumerate(ss.members):
+                relabel = {v: j for j, v in enumerate(member.vertices)}
+                doc = {"name": f"{stem}-{i}", "qubits": member.num_vertices,
+                       "edges": sorted([relabel[u], relabel[v]] for u, v in member.edges)}
+                (out / f"{doc['name']}.json").write_text(json.dumps(doc, indent=1))
+        except OSError as exc:
+            raise click.BadParameter(str(exc), param_hint="--emit")
 
 
 @main.command(name="map")
 @click.option("--platform", required=True)
-@click.option("--circuit", "circuit_path", type=click.Path(exists=True), required=True)
+@click.option("--circuit", "circuit_path", type=_INPUT_FILE, required=True)
 @click.option("--bound", type=click.IntRange(min=0), default=None,
               help="Initial swap bound.")
 @click.option("--full-architecture", is_flag=True,
@@ -121,10 +134,10 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
 @click.option("--ancillas", default=None,
               help='Max ancilla qubits (default 2), or "until-full".')
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Write mapped QASM here (default: stdout).")
-@click.option("--report", "report_path", type=click.Path(), default=None,
-              help="Write the machine-readable run report here.")
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
+              callback=_check_target, help="Write mapped QASM here (default: stdout).")
+@click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
+              callback=_check_target, help="Write the machine-readable run report here.")
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Wall-clock budget (s), > 0.")
 def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_dir,
@@ -134,7 +147,7 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_di
         if full_architecture and value is not None:
             raise click.UsageError(f"{name} needs subarchitectures, not --full-architecture")
     g = _load(platform, connected=True)
-    circ = _parse(Path(circuit_path).read_text(), "--circuit")
+    _, circ = _parse(circuit_path, "--circuit")
     if not 1 <= circ.n_qubits <= g.num_vertices:
         raise click.BadParameter(f"circuit has {circ.n_qubits} qubits, platform "
                                  f"has {g.num_vertices}", param_hint="--circuit")
@@ -188,17 +201,16 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_di
 
 @main.command()
 @click.option("--platform", required=True)
-@click.option("--circuit", "circuit_path", type=click.Path(exists=True), required=True)
-@click.option("--mapped", "mapped_path", type=click.Path(exists=True), required=True)
+@click.option("--circuit", "circuit_path", type=_INPUT_FILE, required=True)
+@click.option("--mapped", "mapped_path", type=_INPUT_FILE, required=True)
 @click.option("--layout", default="auto",
               help='"auto" (from QASM comments) or a JSON file {logical: physical}.')
 @click.option("--mode", type=click.Choice([STRICT, RELAXED]), default=STRICT)
 def verify(platform, circuit_path, mapped_path, layout, mode):
     """Check feasibility and equivalence of a mapped circuit. Exit 0/1."""
     g = _load(platform)
-    original = _parse(Path(circuit_path).read_text(), "--circuit")
-    mapped_text = Path(mapped_path).read_text()
-    mapped = _parse(mapped_text, "--mapped", PHYSICAL)
+    _, original = _parse(circuit_path, "--circuit")
+    mapped_text, mapped = _parse(mapped_path, "--mapped", PHYSICAL)
     try:
         if layout == "auto":
             alloc = parse_layout_comments(mapped_text)
@@ -222,7 +234,7 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
 
 
 @main.command()
-@click.option("--manifest", type=click.Path(exists=True), required=True,
+@click.option("--manifest", type=_INPUT_FILE, required=True,
               help='JSON list of {"platform": ..., "k": ...} entries.')
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Per-row budget (s), > 0.")
@@ -282,10 +294,11 @@ def _load(platform: str, connected: bool = False) -> CouplingGraph:
     return g
 
 
-def _parse(text: str, option: str, space: str = LOGICAL) -> Circuit:
+def _parse(path: str, option: str, space: str = LOGICAL) -> tuple[str, Circuit]:
     try:
-        return parse_qasm(text, space=space)
-    except ValueError as exc:
+        text = Path(path).read_text()
+        return text, parse_qasm(text, space=space)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise click.BadParameter(str(exc), param_hint=option)
 
 

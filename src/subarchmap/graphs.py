@@ -142,7 +142,11 @@ def load_platform(spec: str | Path) -> CouplingGraph:
     """Load a platform by built-in name (e.g. "guadalupe", "tokyo") or file path."""
     path = Path(spec)
     if path.is_file():
-        return parse_platform(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PlatformError(f"cannot read platform file {spec!r}: {exc}") from exc
+        return parse_platform(text)
     builtin = resources.files("subarchmap.platforms").joinpath(f"{spec}.json")
     if builtin.is_file():
         return parse_platform(builtin.read_text())

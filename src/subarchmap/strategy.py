@@ -35,11 +35,12 @@ class MemberOutcome:
 
 @dataclass
 class StrategyReport:
-    """The best result, one outcome per member reached in level order, and the
-    number of real map_optimal calls; inferred outcomes made none."""
+    """The best result, one outcome per member reached in level order, the real
+    map_optimal calls (inferred outcomes made none) and the budget searched."""
     result: MapResult | None = None
     outcomes: list[MemberOutcome] = field(default_factory=list)
     map_calls: int = 0
+    max_ancillas: int | None = 2  # as in StrategyConfig
 
     @property
     def success(self) -> bool:
@@ -83,7 +84,7 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
     k_max = g.num_vertices if cfg.max_ancillas is None \
         else min(g.num_vertices, n + cfg.max_ancillas)
     bound = cfg.initial_bound
-    report = StrategyReport()
+    report = StrategyReport(max_ancillas=cfg.max_ancillas)
     records: dict[tuple[int, ...], MapResult | None] = {}
 
     def level(k: int) -> list[CouplingGraph]:  # stable: equal edge counts keep their order
@@ -124,9 +125,11 @@ def optimality_certificate(report: StrategyReport, g: CouplingGraph,
     Every maximal subarchitecture at every visited size either failed under
     the bound in force or produced at least the final count; maximality makes
     those calls exhaustive over all connected subarchitectures of each size.
+    It states the budget the report was searched with; a cfg with another raises.
     """
-    cfg = cfg or StrategyConfig()
-    budget = "unbounded" if cfg.max_ancillas is None else cfg.max_ancillas
+    if cfg is not None and cfg.max_ancillas != report.max_ancillas:
+        raise ValueError(f"cfg.max_ancillas != {report.max_ancillas!r}, the budget searched")
+    budget = "unbounded" if report.max_ancillas is None else report.max_ancillas
     chain = [
         {"k": o.k, "subarch": list(o.subarch_vertices), "status": o.status,
          "swaps": o.swaps}

@@ -2,6 +2,7 @@
 
 This module is the trusted base for the test suite: it shares the data types
 with the mapper but none of its search code, and no isomorphism code at all.
+Relaxed equivalence holds iff every qubit sees the same gates in the same order.
 """
 
 from __future__ import annotations

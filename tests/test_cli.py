@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -75,7 +76,7 @@ class TestSubarch:
                                    "--size", "4", "--emit", str(out)])
         assert res.exit_code == 0
         files = list(out.glob("*.json"))
-        assert len(files) == 1
+        assert [f.name for f in files] == ["c5-k4-0.json"]
         doc = json.loads(files[0].read_text())
         assert doc["qubits"] == 4
 
@@ -279,6 +280,28 @@ def _two_triangles(tmp_path):
         {"qubits": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]}))
 
 
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe not text")
+    return str(path)
+
+
+def _emit_for_name(tmp_path, name):
+    return ["subarch", "--size", "2", "--emit", str(tmp_path / "members"), "--platform",
+            _platform_file(tmp_path, json.dumps(
+                {"name": name, "qubits": 3, "edges": [[0, 1], [1, 2]]}))]
+
+
+def _emit_onto_a_directory(tmp_path):
+    (tmp_path / "members" / "c5-k4-0.json").mkdir(parents=True)  # c5's one k=4 member
+    return ["subarch", "--platform", _platform_file(tmp_path, C5), "--size", "4",
+            "--emit", str(tmp_path / "members")]
+
+
+def _map_to(tmp_path, option, target):
+    return ["map", "--platform", "guadalupe", "--circuit",
+            _qasm_file(tmp_path, "cx q[0],q[1];"), option, str(target)]
+
+
 def _verify_with_layout(tmp_path, layout):
     return ["verify", "--platform", "guadalupe",
             "--circuit", _qasm_file(tmp_path, "cx q[0],q[1];"),
@@ -382,15 +405,55 @@ MALFORMED = {
     "cache-is-a-file-bench": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
         "--cache", _write(t / "cache", "")],
+    "circuit-is-a-directory-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", str(t)],
+    "circuit-is-a-directory-verify": lambda t: [
+        "verify", "--platform", "guadalupe", "--circuit", str(t),
+        "--mapped", _qasm_file(t, "cx q[0],q[1];")],
+    "mapped-is-a-directory": lambda t: [
+        "verify", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", str(t)],
+    "manifest-is-a-directory": lambda t: ["bench", "--manifest", str(t)],
+    "circuit-not-utf8-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _not_utf8(t / "in.qasm")],
+    "circuit-not-utf8-verify": lambda t: [
+        "verify", "--platform", "guadalupe", "--circuit", _not_utf8(t / "in.qasm"),
+        "--mapped", _write(t / "mapped.qasm", "OPENQASM 2.0;\nqreg q[2];\n")],
+    "mapped-not-utf8": lambda t: [
+        "verify", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", _not_utf8(t / "mapped.qasm")],
+    "platform-not-utf8-subarch": lambda t: [
+        "subarch", "--platform", _not_utf8(t / "platform.json"), "--size", "2"],
+    "platform-not-utf8-map": lambda t: [
+        "map", "--platform", _not_utf8(t / "platform.json"),
+        "--circuit", _qasm_file(t, "cx q[0],q[1];")],
+    "platform-not-utf8-verify": lambda t: [
+        "verify", "--platform", _not_utf8(t / "platform.json"),
+        "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", _qasm_file(t, "cx q[0],q[1];")],
+    "out-is-a-directory": lambda t: _map_to(t, "--out", t),
+    "report-is-a-directory": lambda t: _map_to(t, "--report", t),
+    "out-in-a-missing-directory": lambda t: _map_to(t, "--out", t / "missing" / "m.qasm"),
+    "report-in-a-missing-directory": lambda t: _map_to(t, "--report", t / "missing" / "r.json"),
+    "emit-name-climbs-out": lambda t: _emit_for_name(t, "../escaped"),
+    "emit-name-absolute": lambda t: _emit_for_name(t, str(t / "elsewhere")),
+    "emit-name-with-nul": lambda t: _emit_for_name(t, "a\0b"),
+    "emit-under-a-file": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "2",
+        "--emit", str(Path(_write(t / "out", "")) / "members")],
+    "emit-file-is-a-directory": _emit_onto_a_directory,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_with_a_message(runner, tmp_path, case):
-    res = runner.invoke(main, MALFORMED[case](tmp_path))
+    args = MALFORMED[case](tmp_path)
+    before = set(tmp_path.rglob("*"))
+    res = runner.invoke(main, args)
     assert res.exit_code == 2, (res.output, res.exception)
     assert isinstance(res.exception, SystemExit)
     assert "Error: " in res.output and "Traceback" not in res.output
+    assert set(tmp_path.rglob("*")) == before  # and nothing was written
 
 
 class TestBench:

@@ -87,6 +87,22 @@ def test_certificate_shape(mapped_members):
     assert report.map_calls == len(mapped_members)
 
 
+@pytest.mark.parametrize("budget", [0, 1, None])
+def test_certificate_states_the_budget_searched(budget):
+    # with no ancilla the 4-ring needs 2 swaps on the 5-cycle, with one only 1
+    report = map_with_subarch(cycle(5), make_ring_circuit(4),
+                              StrategyConfig(max_ancillas=budget))
+    assert report.swaps == (2 if budget == 0 else 1)
+    shown = "unbounded" if budget is None else budget
+    for cfg in (None, StrategyConfig(max_ancillas=budget)):
+        cert = optimality_certificate(report, cycle(5), cfg)
+        assert cert["ancilla_budget"] == shown
+        assert f"using at most {shown} ancilla qubits" in cert["statement"]
+    for other in {0, 1, 2, None} - {budget}:
+        with pytest.raises(ValueError, match="max_ancillas"):
+            optimality_certificate(report, cycle(5), StrategyConfig(max_ancillas=other))
+
+
 def test_deadline_reaches_inside_each_map_call():
     g, c, cfg = cycle(6), make_ring_circuit(5), StrategyConfig(max_ancillas=1)
     calls = map_with_subarch(g, c, cfg).map_calls  # also fills the store
