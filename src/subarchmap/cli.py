@@ -64,6 +64,19 @@ def _check_target(ctx, param, path: str | None) -> str | None:
     return path
 
 
+def _check_cache(ctx, param, path: str | None) -> str | None:
+    if path is not None:
+        for parent in Path(path).parents:
+            if parent.is_file():
+                raise click.BadParameter(f"{str(parent)!r} is a file, not a directory")
+    return path
+
+
+_cache_option = click.option("--cache", "cache_dir", type=click.Path(file_okay=False),
+                             default=None, callback=_check_cache,
+                             help="Directory of cached subarchitecture results.")
+
+
 @main.command()
 @click.option("--platform", required=True, help="Built-in name or platform JSON path.")
 @click.option("--size", "k", type=int, required=True, help="Subarchitecture size k.")
@@ -72,7 +85,7 @@ def _check_target(ctx, param, path: str | None) -> str | None:
               help="Print each vertex set, one sorted set per line.")
 @click.option("--emit", "emit_dir", type=click.Path(file_okay=False), default=None,
               help="Write each maximal member as a platform JSON file.")
-@click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
+@_cache_option
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Wall-clock budget (s), > 0.")
 @click.option("--json", "as_json", is_flag=True)
@@ -133,7 +146,7 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
               help="Map directly onto the whole platform, no subarchitectures.")
 @click.option("--ancillas", default=None,
               help='Max ancilla qubits (default 2), or "until-full".')
-@click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
+@_cache_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               callback=_check_target, help="Write mapped QASM here (default: stdout).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
@@ -238,7 +251,7 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
               help='JSON list of {"platform": ..., "k": ...} entries.')
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Per-row budget (s), > 0.")
-@click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
+@_cache_option
 @click.option("--json", "as_json", is_flag=True)
 def bench(manifest, budget, cache_dir, as_json):
     """Run the subarchitecture pipeline over a manifest and render a table."""

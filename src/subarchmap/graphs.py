@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -21,40 +20,39 @@ class CouplingGraph:
     so an allocation onto an induced subgraph is directly an allocation onto
     the platform it was cut from. Instances are immutable, hashable and picklable.
 
-    Each instance also caches data derived from its vertices and edges, each
-    built at most once, on first use: `_rows[i]` is the neighbour bitmask of
-    `vertices[i]` (bit j set iff `vertices[j]` is a neighbour; `vertices` is
-    sorted, so ascending bits are ascending labels), and the isomorphism
-    module keeps its search plan and degree masks in `_plan` and `_at_least`.
-    None of it enters equality or hashing.
+    Adjacency is one neighbour bitmask per vertex, built with the graph:
+    `_rows[i]` has bit j set iff `vertices[j]` is a neighbour of `vertices[i]`,
+    and `_rank[v]` is the index of label v in `vertices`. `vertices` is sorted,
+    so ascending bits are ascending labels. The isomorphism module caches its
+    search plan and degree masks in `_plan` and `_at_least` on first use. None
+    of it enters equality or hashing.
     """
 
-    __slots__ = ("name", "vertices", "edges", "_adj", "_rows", "_plan", "_at_least")
+    __slots__ = ("name", "vertices", "edges", "_rank", "_rows", "_plan", "_at_least")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
-        vlist = list(vertices)
-        vset = set(vlist)
-        if len(vset) != len(vlist):
+        vs = tuple(sorted(vertices))
+        rank = dict(zip(vs, range(len(vs))))
+        if len(rank) != len(vs):
             raise PlatformError("duplicate vertex labels")
-        vs = tuple(sorted(vset))
         norm = set()
+        rows = [0] * len(vs)
         for u, v in edges:
             if u == v:
                 raise PlatformError(f"self-loop on vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in rank or v not in rank:
                 raise PlatformError(f"edge ({u},{v}) has endpoint outside vertex set")
             norm.add((u, v) if u < v else (v, u))
+            rows[rank[u]] |= 1 << rank[v]
+            rows[rank[v]] |= 1 << rank[u]
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(norm))
-        adj = {v: [] for v in vs}
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
-        for derived in ("_rows", "_plan", "_at_least"):
-            object.__setattr__(self, derived, None)
+        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_plan", None)
+        object.__setattr__(self, "_at_least", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("CouplingGraph is immutable")
@@ -67,23 +65,8 @@ class CouplingGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
-
-    def _neighbour_rows(self) -> tuple[int, ...]:
-        """`_rows`, built on first use: graphs that are never matched, such as
-        most platforms, never pay for them."""
-        if self._rows is None:
-            pos = {v: i for i, v in enumerate(self.vertices)}
-            rows = [0] * len(pos)
-            for u, v in self.edges:
-                rows[pos[u]] |= 1 << pos[v]
-                rows[pos[v]] |= 1 << pos[u]
-            object.__setattr__(self, "_rows", tuple(rows))
-        return self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CouplingGraph):
@@ -153,16 +136,28 @@ def load_platform(spec: str | Path) -> CouplingGraph:
     raise PlatformError(f"unknown platform {spec!r}: not a file or built-in name")
 
 
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1  # from the top: one big-int operation per bit
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
+
+
 def distances(g: CouplingGraph, source: int) -> dict[int, int]:
     """Hop distance from `source` to every vertex reachable from it, by BFS."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    rows, vs = g._rows, g.vertices
+    queue = [g._rank[source]]
+    dist, seen = {source: 0}, 1 << queue[0]
+    for i in queue:  # appended to while iterated: a FIFO queue
+        fresh = rows[i] & ~seen
+        seen |= fresh
+        for j in bits(fresh):
+            dist[vs[j]] = dist[vs[i]] + 1
+            queue.append(j)
     return dist
 
 
@@ -173,10 +168,13 @@ def is_connected(g: CouplingGraph) -> bool:
 
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
     """Induced subgraph on `members`, keeping original vertex labels."""
+    rank, rows, vs = g._rank, g._rows, g.vertices
     s = set(members)
-    adj = g._adj
-    missing = [v for v in s if v not in adj]
+    missing = s.difference(rank)  # walks s, not the platform
     if missing:
         raise ValueError(f"not vertices of the graph: {sorted(missing)}")
-    kept = [(u, v) for u in s for v in adj[u] if u < v and v in s]
+    mask = 0
+    for v in s:
+        mask |= 1 << rank[v]
+    kept = [(vs[i], vs[j]) for i in bits(mask) for j in bits(rows[i] & mask) if i < j]
     return CouplingGraph(s, kept, name=g.name)

@@ -2,19 +2,20 @@
 
 The hash is a Weisfeiler-Lehman color refinement: isomorphic graphs always
 collide, and most non-isomorphic ones do not, so it only buckets graphs for
-the exact checks. Both exact checks run one backtracking monomorphism matcher
-on bitmasks, which answers yes or no. It reads each graph's neighbour rows
-(`CouplingGraph._rows`, one int per vertex) and caches two more things on the
-graphs it meets: a pattern's search plan (its vertex order, with each step's
-degree and earlier-placed neighbour steps) and a host's degree masks (the
-vertices of degree at least d, for each d). A step's candidates then cost one
-int `&` per placed neighbour, VF2-style (Cordella et al., TPAMI 2004), and a
-pattern or host met again costs no set-up.
+the exact checks. The hash and both exact checks read each graph's neighbour
+rows (`CouplingGraph._rows`, one int per vertex, built with the graph). The
+exact checks run one backtracking monomorphism matcher on these bitmasks,
+which answers yes or no. It caches two more things on the graphs it meets: a
+pattern's search plan (its vertex order, with each step's degree and
+earlier-placed neighbour steps) and a host's degree masks (the vertices of
+degree at least d, for each d). A step's candidates then cost one int `&` per
+placed neighbour, VF2-style (Cordella et al., TPAMI 2004), and a pattern or
+host met again costs no set-up.
 """
 
 from __future__ import annotations
 
-from .graphs import CouplingGraph
+from .graphs import CouplingGraph, bits
 
 
 def wl_hash(g: CouplingGraph) -> int:
@@ -27,12 +28,12 @@ def wl_hash(g: CouplingGraph) -> int:
     tuples, so the value is stable across runs. Non-isomorphic graphs can
     share a value: it is a bucket key, never a verdict.
     """
-    adj = g._adj
-    colors = {v: len(ns) for v, ns in adj.items()}
+    nbrs = list(map(bits, g._rows))
+    colors = [len(ns) for ns in nbrs]
     for _ in range(3):
-        colors = {v: hash((colors[v], tuple(sorted([colors[u] for u in ns]))))
-                  for v, ns in adj.items()}
-    return hash((g.num_vertices, g.num_edges, tuple(sorted(colors.values()))))
+        at = colors.__getitem__
+        colors = [hash((c, tuple(sorted(map(at, ns))))) for c, ns in zip(colors, nbrs)]
+    return hash((g.num_vertices, g.num_edges, tuple(sorted(colors))))
 
 
 def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:
@@ -58,7 +59,7 @@ def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
     if pattern.num_vertices > host.num_vertices or pattern.num_edges > host.num_edges:
         return False
     steps = _plan(pattern)
-    rows = host._neighbour_rows()
+    rows = host._rows
     at_least = _at_least(host)
     n = len(steps)
     image = [0] * n  # image[i]: row of the host vertex that step i placed
@@ -92,7 +93,7 @@ def _plan(pattern: CouplingGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     anchored vertices prune hard; highest degree first, then lowest label.
     """
     if pattern._plan is None:
-        rows = pattern._neighbour_rows()
+        rows = pattern._rows
         degree = [r.bit_count() for r in rows]
         step_of: dict[int, int] = {}
         placed = 0
@@ -116,7 +117,7 @@ def _at_least(host: CouplingGraph) -> tuple[int, ...]:
     pattern no larger than the host can index it."""
     if host._at_least is None:
         masks = [0] * host.num_vertices
-        for i, r in enumerate(host._neighbour_rows()):
+        for i, r in enumerate(host._rows):
             masks[r.bit_count()] |= 1 << i
         for d in range(len(masks) - 2, -1, -1):
             masks[d] |= masks[d + 1]

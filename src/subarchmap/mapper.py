@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuits import PHYSICAL, Allocation, Circuit, Gate
-from .graphs import CouplingGraph, distances, is_connected
+from .graphs import CouplingGraph, bits, distances, is_connected
 from .maximal import Deadline
 
 
@@ -82,7 +82,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     m = len(gates)
     k = g.num_vertices
     dist = [row[w] for row in (distances(g, v) for v in g.vertices) for w in g.vertices]
-    nbrs = [[s for s in range(k) if dist[r * k + s] == 1] for r in range(k)]
+    nbrs = [bits(row) for row in g._rows]
     edges = [(r, s) for r in range(k) for s in nbrs[r] if r < s]
 
     # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits

@@ -15,7 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .graphs import CouplingGraph, induced_subgraph
+from .graphs import CouplingGraph, induced_subgraph, is_connected
 from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
 from .subgraphs import connected_subgraphs
 
@@ -192,7 +192,8 @@ def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path) -> SubarchSet |
     """The cached result for (g, k), or None on a missing or unreadable file,
     one written for another platform, k or CACHE_FORMAT, or one of another
     shape: integer stage counts, numeric stage times, and stage_counts["max"]
-    members, each a list of k distinct vertices of g."""
+    members, each a list of k distinct vertices of g that induce a connected
+    subgraph."""
     path = _cache_path(g, k, cache_dir)
     try:
         doc = json.loads(path.read_text())
@@ -213,4 +214,6 @@ def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path) -> SubarchSet |
                     for vs in vertex_lists)):
         return None
     members = [induced_subgraph(g, vs) for vs in vertex_lists]
+    if not all(map(is_connected, members)):
+        return None
     return SubarchSet(g, k, members, counts, times, cached=True)

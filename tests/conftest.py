@@ -103,6 +103,34 @@ def naive_connected_subsets(g: CouplingGraph, k: int) -> set[tuple[int, ...]]:
     return out
 
 
+def reference_connected_subgraphs(g: CouplingGraph, k: int):
+    """The anchored expansion on Python sets: the enumeration order oracle.
+
+    For each anchor v (ascending), grow connected sets whose minimum is v. A
+    vertex w taken from the candidate list adds as candidates, in ascending
+    order after the remaining ones, its neighbours above the anchor that are
+    neither in the set nor adjacent to it.
+    """
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def extend(anchor, sub, ext):
+        if len(sub) == k:
+            yield tuple(sorted(sub))
+            return
+        for i, w in enumerate(ext):
+            fresh = [u for u in adj[w]
+                     if u > anchor and u not in sub and not (adj[u] & sub)]
+            sub.add(w)
+            yield from extend(anchor, sub, ext[i + 1:] + sorted(fresh))
+            sub.remove(w)
+
+    for v in g.vertices:
+        yield from extend(v, {v}, sorted(u for u in adj[v] if u > v))
+
+
 def relabel_graph(g: CouplingGraph, perm: dict[int, int]) -> CouplingGraph:
     return CouplingGraph([perm[v] for v in g.vertices],
                          [(perm[u], perm[v]) for u, v in g.edges])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +166,26 @@ class TestMapVerify:
                                    "--full-architecture", "--cache", str(tmp_path / "d")])
         assert res.exit_code == 2
         assert "--cache" in res.output
+
+    def test_map_recomputes_a_cached_disconnected_member(self, runner, tmp_path):
+        # guadalupe has one k=3 member; its vertices 0, 5 and 9 share no edge
+        circuit = _qasm_file(tmp_path, "cx q[0],q[1];\ncx q[1],q[2];", n=3)
+        cache, report = tmp_path / "cache", tmp_path / "report.json"
+
+        def run(*options):
+            maximal._store.clear()  # so the cache file, not the store, serves k=3
+            report.unlink(missing_ok=True)
+            res = runner.invoke(main, ["map", "--platform", "guadalupe", "--circuit",
+                                       circuit, "--report", str(report), *options])
+            return res.exit_code, res.stdout, report.is_file() and report.read_text()
+
+        fresh = run()
+        assert fresh[0] == 0 and run("--cache", str(cache)) == fresh
+        (path,) = cache.glob("*-k3-*.json")
+        doc = json.loads(path.read_text())
+        doc["members"][0] = [0, 5, 9]
+        path.write_text(json.dumps(doc))
+        assert run("--cache", str(cache)) == fresh
 
     @pytest.mark.parametrize("ancillas", ["5", "2", "until-full"])
     def test_full_architecture_refuses_ancillas(self, runner, c5_path, ring_path,
@@ -381,6 +404,12 @@ MALFORMED = {
     "cache-is-a-file-map": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
         "--cache", _write(t / "cache", "")],
+    "cache-under-a-file-subarch": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "3",
+        "--cache", str(Path(_write(t / "f", "")) / "sub")],
+    "cache-under-a-file-map": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--cache", str(Path(_write(t / "f", "")) / "sub")],
     "budget-nan-subarch": lambda t: [
         "subarch", "--platform", "tokyo", "--size", "8", "--budget", "nan"],
     "budget-negative-subarch": lambda t: [
@@ -405,6 +434,9 @@ MALFORMED = {
     "cache-is-a-file-bench": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
         "--cache", _write(t / "cache", "")],
+    "cache-under-a-file-bench": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
+        "--cache", str(Path(_write(t / "f", "")) / "x")],
     "circuit-is-a-directory-map": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", str(t)],
     "circuit-is-a-directory-verify": lambda t: [
@@ -505,3 +537,16 @@ class TestBench:
         res = runner.invoke(main, ["bench", "--manifest", str(manifest),
                                    "--budget", "0.01"])
         assert res.exit_code == 3
+
+
+def test_networkx_stays_out_of_the_program(tmp_path):
+    # networkx serves the tests as an oracle only; the CLI must run without it
+    circuit = _qasm_file(tmp_path, "cx q[0],q[1];\ncx q[1],q[2];", n=3)
+    script = ("import sys; sys.modules['networkx'] = None; "
+              "from subarchmap.cli import main; main()")
+    env = dict(os.environ, PYTHONPATH=str(Path(maximal.__file__).parents[1]))
+    for args in (["subarch", "--platform", "guadalupe", "--size", "4"],
+                 ["map", "--platform", "guadalupe", "--circuit", circuit]):
+        res = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

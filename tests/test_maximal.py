@@ -30,7 +30,7 @@ def test_path_has_single_member():
     ss = max_subarchitectures(g, 3)
     assert ss.counts_row() == (20, 4, 1, 1)
     m = ss.members[0]
-    assert sorted(len(m.neighbors(v)) for v in m.vertices) == [1, 1, 2]
+    assert sorted(sum(v in e for e in m.edges) for v in m.vertices) == [1, 1, 2]
 
 
 def test_cycle_with_chord():
@@ -158,6 +158,7 @@ MALFORMED_CACHE_DOCS = {
     "member-vertex-a-float": _first_member([0, 1, 2, 3.0]),
     "member-vertex-a-string": _first_member([0, 1, 2, "3"]),
     "member-not-a-list": _first_member(3),
+    "member-disconnected": _first_member([0, 1, 4, 5]),
 }
 
 

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subarchmap import CouplingGraph, connected_subgraphs
+from subarchmap import CouplingGraph, connected_subgraphs, load_platform
 
-from conftest import naive_connected_subsets, random_connected_graph
+from conftest import (naive_connected_subsets, random_connected_graph,
+                      reference_connected_subgraphs, relabel_graph)
 
 
 def test_single_vertex_sets():
@@ -52,3 +53,21 @@ def test_matches_naive_filter(seed, n):
     g = random_connected_graph(rng, n)
     for k in range(1, n + 1):
         assert set(connected_subgraphs(g, k)) == naive_connected_subsets(g, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 10))
+def test_order_matches_reference_expansion(seed, n):
+    # The order decides which subset stands for each isomorphism class.
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    g = relabel_graph(g, dict(zip(g.vertices, rng.sample(range(200), n))))
+    for k in range(1, n + 1):
+        assert list(connected_subgraphs(g, k)) == list(reference_connected_subgraphs(g, k))
+
+
+@pytest.mark.parametrize("platform", ["guadalupe", "tokyo"])
+def test_platform_order_matches_reference_expansion(platform):
+    g = load_platform(platform)
+    for k in range(1, 7):
+        assert list(connected_subgraphs(g, k)) == list(reference_connected_subgraphs(g, k))
