@@ -58,23 +58,16 @@ def _check_budget(ctx, param, budget: float | None) -> float | None:
     return budget
 
 
+def _check_nonempty(ctx, param, path: str | None) -> str | None:
+    if path == "":
+        raise click.BadParameter("must not be empty")
+    return path
+
+
 def _check_target(ctx, param, path: str | None) -> str | None:
-    if path is not None and not Path(path).parent.is_dir():
+    if _check_nonempty(ctx, param, path) is not None and not Path(path).parent.is_dir():
         raise click.BadParameter(f"no directory {str(Path(path).parent)!r} to write into")
     return path
-
-
-def _check_cache(ctx, param, path: str | None) -> str | None:
-    if path is not None:
-        for parent in Path(path).parents:
-            if parent.is_file():
-                raise click.BadParameter(f"{str(parent)!r} is a file, not a directory")
-    return path
-
-
-_cache_option = click.option("--cache", "cache_dir", type=click.Path(file_okay=False),
-                             default=None, callback=_check_cache,
-                             help="Directory of cached subarchitecture results.")
 
 
 @main.command()
@@ -84,18 +77,18 @@ _cache_option = click.option("--cache", "cache_dir", type=click.Path(file_okay=F
 @click.option("--list", "list_members", is_flag=True,
               help="Print each vertex set, one sorted set per line.")
 @click.option("--emit", "emit_dir", type=click.Path(file_okay=False), default=None,
+              callback=_check_nonempty,
               help="Write each maximal member as a platform JSON file.")
-@_cache_option
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Wall-clock budget (s), > 0.")
 @click.option("--json", "as_json", is_flag=True)
-def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_json):
+def subarch(platform, k, stage, list_members, emit_dir, budget, as_json):
     """Enumerate subarchitectures; prints a benchmark-table style row."""
     g = _load(platform, connected=True)
     if not 1 <= k <= g.num_vertices:
         raise click.UsageError(f"size {k} out of range for |P|={g.num_vertices}")
-    if stage == "connected" and (emit_dir or cache_dir):
-        raise click.UsageError("--emit and --cache need --stage full")
+    if stage == "connected" and emit_dir:
+        raise click.UsageError("--emit needs --stage full")
     stem = f"{g.name or 'platform'}-k{k}"
     if emit_dir and (Path(stem).name != stem or "\0" in stem):
         raise click.BadParameter(f"platform name {g.name!r} is not a plain file name",
@@ -112,7 +105,7 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
             out = {"platform": g.name or platform, "k": k, "connected": count}
             click.echo(json.dumps(out) if as_json else f"connected: {count}")
             return
-        ss = subarchitectures(g, k, deadline=deadline, cache_dir=cache_dir)
+        ss = subarchitectures(g, k, deadline=deadline)
     except BudgetExceeded:
         click.echo("TO")
         sys.exit(EXIT_BUDGET)
@@ -146,19 +139,17 @@ def subarch(platform, k, stage, list_members, emit_dir, cache_dir, budget, as_js
               help="Map directly onto the whole platform, no subarchitectures.")
 @click.option("--ancillas", default=None,
               help='Max ancilla qubits (default 2), or "until-full".')
-@_cache_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               callback=_check_target, help="Write mapped QASM here (default: stdout).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
               callback=_check_target, help="Write the machine-readable run report here.")
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Wall-clock budget (s), > 0.")
-def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_dir,
-            out_path, report_path, budget):
+def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path,
+            report_path, budget):
     """Map a circuit; emits mapped QASM plus a JSON summary."""
-    for name, value in (("--cache", cache_dir), ("--ancillas", ancillas)):
-        if full_architecture and value is not None:
-            raise click.UsageError(f"{name} needs subarchitectures, not --full-architecture")
+    if full_architecture and ancillas is not None:
+        raise click.UsageError("--ancillas needs subarchitectures, not --full-architecture")
     g = _load(platform, connected=True)
     _, circ = _parse(circuit_path, "--circuit")
     if not 1 <= circ.n_qubits <= g.num_vertices:
@@ -180,8 +171,7 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, cache_di
             result = map_optimal(circ, g, bound=bound, deadline=deadline)
             report_doc = {"map_calls": 1}  # written only on success
         else:
-            cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound,
-                                 cache_dir=cache_dir)
+            cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound)
             strat = map_with_subarch(g, circ, cfg, deadline)
             result = strat.result
             cert = optimality_certificate(strat, g, cfg)
@@ -251,9 +241,8 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
               help='JSON list of {"platform": ..., "k": ...} entries.')
 @click.option("--budget", type=float, default=None, callback=_check_budget,
               help="Per-row budget (s), > 0.")
-@_cache_option
 @click.option("--json", "as_json", is_flag=True)
-def bench(manifest, budget, cache_dir, as_json):
+def bench(manifest, budget, as_json):
     """Run the subarchitecture pipeline over a manifest and render a table."""
     try:
         entries = [(str(entry["platform"]), entry["k"])
@@ -267,7 +256,7 @@ def bench(manifest, budget, cache_dir, as_json):
     for name, k in entries:
         try:
             g = load_platform(name)
-            ss = subarchitectures(g, k, deadline=Deadline(budget), cache_dir=cache_dir)
+            ss = subarchitectures(g, k, deadline=Deadline(budget))
             rows.append(_row_dict(g.name or name, g.num_vertices, ss))
         except BudgetExceeded:
             timeouts += 1

@@ -85,7 +85,7 @@ class CouplingGraph:
         return f"<CouplingGraph{tag} |V|={self.num_vertices} |E|={self.num_edges}>"
 
     def digest(self) -> str:
-        """Content digest of the labeled graph, used as a cache key."""
+        """Content digest of the labeled graph; perfbench's tracer keys results by it."""
         payload = json.dumps({"v": list(self.vertices),
                               "e": sorted(self.edges)}).encode()
         return hashlib.sha256(payload).hexdigest()
@@ -122,7 +122,8 @@ def parse_platform(text: str) -> CouplingGraph:
 
 
 def load_platform(spec: str | Path) -> CouplingGraph:
-    """Load a platform by built-in name (e.g. "guadalupe", "tokyo") or file path."""
+    """Load a platform from a file path, or by built-in name (e.g. "guadalupe",
+    "tokyo") when spec is a plain name, with no directory part."""
     path = Path(spec)
     if path.is_file():
         try:
@@ -130,8 +131,8 @@ def load_platform(spec: str | Path) -> CouplingGraph:
         except (OSError, UnicodeDecodeError) as exc:
             raise PlatformError(f"cannot read platform file {spec!r}: {exc}") from exc
         return parse_platform(text)
-    builtin = resources.files("subarchmap.platforms").joinpath(f"{spec}.json")
-    if builtin.is_file():
+    builtin = resources.files("subarchmap.platforms").joinpath(f"{path.name}.json")
+    if path.name == str(spec) and builtin.is_file():
         return parse_platform(builtin.read_text())
     raise PlatformError(f"unknown platform {spec!r}: not a file or built-in name")
 

@@ -7,19 +7,15 @@ maximal under subgraph isomorphism (no member embeds into another member).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
-from .graphs import CouplingGraph, induced_subgraph, is_connected
+from .graphs import CouplingGraph, induced_subgraph
 from .iso import is_isomorphic, subgraph_isomorphic, wl_hash
 from .subgraphs import connected_subgraphs
 
-CACHE_FORMAT = 2  # bump whenever files written before may differ from a fresh run
 STORE_SIZE = 64  # (platform, k) results kept in process; least recently used go first
 
 
@@ -43,8 +39,8 @@ class Deadline:
 class SubarchSet:
     """Result of the maximal-subarchitecture pipeline for one (platform, k).
 
-    cached is True when subarchitectures served it from its in-process store
-    or a cache file; its stage_times are those of the run that computed it.
+    cached is True when subarchitectures served it from its in-process store;
+    its stage_times are those of the run that computed it.
     """
 
     platform: CouplingGraph
@@ -126,12 +122,10 @@ _store: OrderedDict[tuple[CouplingGraph, str, int], SubarchSet] = OrderedDict()
 
 
 def subarchitectures(g: CouplingGraph, k: int, *,
-                     deadline: Deadline | None = None,
-                     cache_dir: str | Path | None = None) -> SubarchSet:
+                     deadline: Deadline | None = None) -> SubarchSet:
     """max_subarchitectures(g, k), computed once per (platform, k) and process.
 
-    Looks in the in-process store, then in cache_dir when one is given, and
-    only then computes, writing the result to cache_dir. The store key
+    Looks in the in-process store and computes only on a miss. The store key
     compares vertices and edges exactly, and the platform name as well, since
     members carry it. A result cut off by the deadline is never stored. A
     hit is a fresh SubarchSet around the caller's g, marked cached.
@@ -141,11 +135,7 @@ def subarchitectures(g: CouplingGraph, k: int, *,
     if stored is not None:
         _store.move_to_end(key)
         return _replay(stored, g)
-    ss = None if cache_dir is None else load_cached(g, k, cache_dir)
-    if ss is None:
-        ss = max_subarchitectures(g, k, deadline=deadline)
-        if cache_dir is not None:
-            save_cached(ss, cache_dir)
+    ss = max_subarchitectures(g, k, deadline=deadline)
     _store[key] = _replay(ss, g)
     if len(_store) > STORE_SIZE:
         _store.popitem(last=False)
@@ -158,62 +148,3 @@ def _replay(ss: SubarchSet, g: CouplingGraph) -> SubarchSet:
                    stage_counts=dict(ss.stage_counts),
                    stage_times=dict(ss.stage_times), cached=True)
 
-
-_COUNT_KEYS = ("all_subsets", "connected", "noniso", "max")
-_TIME_KEYS = ("connected", "noniso", "max", "total")
-
-
-def _cache_path(g: CouplingGraph, k: int, cache_dir: str | Path) -> Path:
-    return Path(cache_dir) / f"{g.digest()[:16]}-k{k}-f{CACHE_FORMAT}.json"
-
-
-def save_cached(ss: SubarchSet, cache_dir: str | Path) -> Path:
-    """Write ss under a key of its platform, k and the format, atomically."""
-    path = _cache_path(ss.platform, ss.k, cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "platform_digest": ss.platform.digest(),
-        "k": ss.k,
-        "format": CACHE_FORMAT,
-        "members": [sorted(m.vertices) for m in ss.members],
-        "stage_counts": ss.stage_counts,
-        "stage_times": ss.stage_times,
-    }
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc, indent=1))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
-
-
-def load_cached(g: CouplingGraph, k: int, cache_dir: str | Path) -> SubarchSet | None:
-    """The cached result for (g, k), or None on a missing or unreadable file,
-    one written for another platform, k or CACHE_FORMAT, or one of another
-    shape: integer stage counts, numeric stage times, and stage_counts["max"]
-    members, each a list of k distinct vertices of g that induce a connected
-    subgraph."""
-    path = _cache_path(g, k, cache_dir)
-    try:
-        doc = json.loads(path.read_text())
-        if (doc["platform_digest"], doc["k"], doc["format"]) \
-                != (g.digest(), k, CACHE_FORMAT):
-            return None
-        counts = {key: doc["stage_counts"][key] for key in _COUNT_KEYS}
-        times = {key: doc["stage_times"][key] for key in _TIME_KEYS}
-        vertex_lists = doc["members"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    vertices = set(g.vertices)
-    if not (all(type(c) is int for c in counts.values())  # not bool
-            and all(type(t) in (int, float) for t in times.values())
-            and type(vertex_lists) is list and len(vertex_lists) == counts["max"]
-            and all(type(vs) is list and all(type(v) is int for v in vs)
-                    and len(vs) == len(set(vs)) == k and vertices.issuperset(vs)
-                    for vs in vertex_lists)):
-        return None
-    members = [induced_subgraph(g, vs) for vs in vertex_lists]
-    if not all(map(is_connected, members)):
-        return None
-    return SubarchSet(g, k, members, counts, times, cached=True)

@@ -9,7 +9,6 @@ the top level proves hopeless are recorded as bound failures without a search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .circuits import Circuit
 from .graphs import CouplingGraph, is_connected
@@ -21,7 +20,6 @@ from .maximal import Deadline, subarchitectures
 class StrategyConfig:
     max_ancillas: int | None = 2  # None: keep going until k = |P|
     initial_bound: int | None = None  # None: unbounded, as in the base loop
-    cache_dir: str | Path | None = None
 
 
 @dataclass
@@ -88,7 +86,7 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
     records: dict[tuple[int, ...], MapResult | None] = {}
 
     def level(k: int) -> list[CouplingGraph]:  # stable: equal edge counts keep their order
-        members = subarchitectures(g, k, deadline=deadline, cache_dir=cfg.cache_dir).members
+        members = subarchitectures(g, k, deadline=deadline).members
         return sorted(members, key=lambda m: -m.num_edges)
 
     def attempt(member: CouplingGraph) -> MapResult | None:

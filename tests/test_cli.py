@@ -57,13 +57,11 @@ class TestSubarch:
         assert res.exit_code == 0
         assert "connected: 5" in res.output
 
-    @pytest.mark.parametrize("option", ["--emit", "--cache"])
-    def test_connected_stage_refuses_emit_and_cache(self, runner, c5_path, tmp_path,
-                                                    option):
+    def test_connected_stage_refuses_emit(self, runner, c5_path, tmp_path):
         res = runner.invoke(main, ["subarch", "--platform", c5_path, "--size", "3",
-                                   "--stage", "connected", option, str(tmp_path / "d")])
+                                   "--stage", "connected", "--emit", str(tmp_path / "d")])
         assert res.exit_code == 2
-        assert option in res.output
+        assert "--emit" in res.output
         assert not (tmp_path / "d").exists()
 
     def test_list_members(self, runner, c5_path):
@@ -82,34 +80,6 @@ class TestSubarch:
         assert [f.name for f in files] == ["c5-k4-0.json"]
         doc = json.loads(files[0].read_text())
         assert doc["qubits"] == 4
-
-    def test_cache_replay_is_marked(self, runner, c5_path, tmp_path):
-        args = ["subarch", "--platform", c5_path, "--size", "3", "--json",
-                "--cache", str(tmp_path / "cache")]
-        first, again = (json.loads(runner.invoke(main, args).output) for _ in range(2))
-        assert (first["cached"], again["cached"]) == (False, True)
-        assert first["max"] == again["max"]
-
-    def test_cache_dir_that_does_not_exist_yet(self, runner, c5_path, tmp_path):
-        cache = tmp_path / "new" / "cache"
-        res = runner.invoke(main, ["subarch", "--platform", c5_path, "--size", "3",
-                                   "--cache", str(cache)])
-        assert res.exit_code == 0, res.output
-        assert list(cache.glob("*.json"))
-
-    def test_cache_file_of_another_shape_is_recomputed(self, runner, c5_path, tmp_path):
-        args = ["subarch", "--platform", c5_path, "--size", "3", "--json",
-                "--cache", str(tmp_path / "cache")]
-        first = json.loads(runner.invoke(main, args).output)
-        (path,) = (tmp_path / "cache").glob("*.json")
-        doc = json.loads(path.read_text())
-        del doc["stage_times"]["total"]
-        path.write_text(json.dumps(doc))
-        maximal._store.clear()
-        res = runner.invoke(main, args)
-        assert res.exit_code == 0, res.output
-        again = json.loads(res.output)
-        assert again["cached"] is False and again["max"] == first["max"]
 
     def test_budget_expiry(self, runner):
         res = runner.invoke(main, ["subarch", "--platform", "tokyo",
@@ -161,31 +131,15 @@ class TestMapVerify:
         assert res.exit_code == 0
         assert json.loads(res.output)["swaps"] == 1
 
-    def test_full_architecture_refuses_cache(self, runner, c5_path, ring_path, tmp_path):
-        res = runner.invoke(main, ["map", "--platform", c5_path, "--circuit", ring_path,
-                                   "--full-architecture", "--cache", str(tmp_path / "d")])
-        assert res.exit_code == 2
-        assert "--cache" in res.output
-
-    def test_map_recomputes_a_cached_disconnected_member(self, runner, tmp_path):
-        # guadalupe has one k=3 member; its vertices 0, 5 and 9 share no edge
-        circuit = _qasm_file(tmp_path, "cx q[0],q[1];\ncx q[1],q[2];", n=3)
-        cache, report = tmp_path / "cache", tmp_path / "report.json"
-
-        def run(*options):
-            maximal._store.clear()  # so the cache file, not the store, serves k=3
-            report.unlink(missing_ok=True)
-            res = runner.invoke(main, ["map", "--platform", "guadalupe", "--circuit",
-                                       circuit, "--report", str(report), *options])
-            return res.exit_code, res.stdout, report.is_file() and report.read_text()
-
-        fresh = run()
-        assert fresh[0] == 0 and run("--cache", str(cache)) == fresh
-        (path,) = cache.glob("*-k3-*.json")
-        doc = json.loads(path.read_text())
-        doc["members"][0] = [0, 5, 9]
-        path.write_text(json.dumps(doc))
-        assert run("--cache", str(cache)) == fresh
+    def test_star_maps_without_swaps(self, runner, tmp_path):
+        circuit = _qasm_file(tmp_path, "cx q[0],q[1];\ncx q[0],q[2];\ncx q[0],q[3];", n=4)
+        out, rep = tmp_path / "mapped.qasm", tmp_path / "report.json"
+        res = runner.invoke(main, ["map", "--platform", "guadalupe", "--circuit", circuit,
+                                   "--out", str(out), "--report", str(rep)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads(res.output)
+        assert (summary["swaps"], summary["subarch_vertices"]) == (0, [0, 1, 2, 4])
+        assert json.loads(rep.read_text())["certificate"]["statement"].startswith("0 swaps")
 
     @pytest.mark.parametrize("ancillas", ["5", "2", "until-full"])
     def test_full_architecture_refuses_ancillas(self, runner, c5_path, ring_path,
@@ -308,6 +262,12 @@ def _not_utf8(path):
     return str(path)
 
 
+def _other_platform(tmp_path):
+    """A path that names no file, beside a platform file of that name plus .json."""
+    _write(tmp_path / "other.json", '{"qubits": 3, "edges": [[0, 1], [1, 2]]}')
+    return str(tmp_path / "other")
+
+
 def _emit_for_name(tmp_path, name):
     return ["subarch", "--size", "2", "--emit", str(tmp_path / "members"), "--platform",
             _platform_file(tmp_path, json.dumps(
@@ -398,18 +358,6 @@ MALFORMED = {
     "emit-is-a-file": lambda t: [
         "subarch", "--platform", "guadalupe", "--size", "2",
         "--emit", _write(t / "out", "")],
-    "cache-is-a-file-subarch": lambda t: [
-        "subarch", "--platform", "guadalupe", "--size", "2",
-        "--cache", _write(t / "cache", "")],
-    "cache-is-a-file-map": lambda t: [
-        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
-        "--cache", _write(t / "cache", "")],
-    "cache-under-a-file-subarch": lambda t: [
-        "subarch", "--platform", "guadalupe", "--size", "3",
-        "--cache", str(Path(_write(t / "f", "")) / "sub")],
-    "cache-under-a-file-map": lambda t: [
-        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[1];"),
-        "--cache", str(Path(_write(t / "f", "")) / "sub")],
     "budget-nan-subarch": lambda t: [
         "subarch", "--platform", "tokyo", "--size", "8", "--budget", "nan"],
     "budget-negative-subarch": lambda t: [
@@ -431,12 +379,6 @@ MALFORMED = {
     "budget-nan-bench": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
         "--budget", "nan"],
-    "cache-is-a-file-bench": lambda t: [
-        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
-        "--cache", _write(t / "cache", "")],
-    "cache-under-a-file-bench": lambda t: [
-        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
-        "--cache", str(Path(_write(t / "f", "")) / "x")],
     "circuit-is-a-directory-map": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", str(t)],
     "circuit-is-a-directory-verify": lambda t: [
@@ -474,6 +416,25 @@ MALFORMED = {
         "subarch", "--platform", "guadalupe", "--size", "2",
         "--emit", str(Path(_write(t / "out", "")) / "members")],
     "emit-file-is-a-directory": _emit_onto_a_directory,
+    "emit-empty": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "4", "--emit", ""],
+    "out-empty": lambda t: _map_to(t, "--out", ""),
+    "report-empty": lambda t: _map_to(t, "--report", ""),
+    "cache-option-removed-subarch": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "2", "--cache", str(t / "c")],
+    "cache-option-removed-map": lambda t: _map_to(t, "--cache", t / "c"),
+    "cache-option-removed-bench": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe", "k": 2}]'),
+        "--cache", str(t / "c")],
+    "platform-path-without-suffix-subarch": lambda t: [
+        "subarch", "--platform", _other_platform(t), "--size", "2"],
+    "platform-path-without-suffix-map": lambda t: [
+        "map", "--platform", _other_platform(t), "--circuit", _qasm_file(t, "cx q[0],q[1];")],
+    "platform-path-without-suffix-verify": lambda t: [
+        "verify", "--platform", _other_platform(t),
+        "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", _write(t / "mapped.qasm", "OPENQASM 2.0;\n// q[0] -> Q[0]\n"
+                           "// q[1] -> Q[1]\nqreg q[2];\ncx q[0],q[1];\n")],
 }
 
 
@@ -519,6 +480,14 @@ class TestBench:
         res = runner.invoke(main, ["bench", "--manifest", str(manifest)])
         assert res.exit_code == 1
         assert "nowhere" in res.output
+
+    def test_manifest_platform_path_without_suffix_is_an_error_row(self, runner, tmp_path):
+        platform = _other_platform(tmp_path)
+        manifest = _write(tmp_path / "m.json", json.dumps([{"platform": platform, "k": 2}]))
+        res = runner.invoke(main, ["bench", "--manifest", manifest, "--json"])
+        assert res.exit_code == 1, res.output
+        (row,) = json.loads(res.output)["rows"]
+        assert row["error"].startswith("unknown platform")
 
     def test_manifest_platform_of_wrong_shape_is_an_error_row(self, runner, tmp_path):
         platform = _platform_file(tmp_path, '{"qubits": 3, "edges": null}')

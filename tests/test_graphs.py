@@ -134,6 +134,12 @@ class TestLoadPlatform:
         with pytest.raises(PlatformError, match="unknown platform"):
             load_platform("atlantis")
 
+    def test_builtins_are_looked_up_by_plain_name_only(self, tmp_path):
+        (tmp_path / "other.json").write_text('{"qubits": 2, "edges": [[0, 1]]}')
+        for spec in (str(tmp_path / "other"), "../platforms/tokyo", "./tokyo"):
+            with pytest.raises(PlatformError, match="unknown platform"):
+                load_platform(spec)
+
 
 def test_bfs_matches_networkx():
     # connected and disconnected graphs on non-contiguous labels, and the 0-

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -7,8 +6,7 @@ import pytest
 from subarchmap import (CouplingGraph, connected_subgraphs, induced_subgraph,
                         is_isomorphic, load_platform, max_subarchitectures, maximal,
                         subarchitectures, subgraph_isomorphic, wl_hash)
-from subarchmap.maximal import (CACHE_FORMAT, BudgetExceeded, Deadline, load_cached,
-                                save_cached)
+from subarchmap.maximal import BudgetExceeded, Deadline
 
 from conftest import naive_connected_subsets, random_connected_graph, to_networkx
 
@@ -120,133 +118,6 @@ def test_deadline_expires():
                                   for b in range(a + 1, 12)])
     with pytest.raises(BudgetExceeded):
         max_subarchitectures(g, 6, deadline=Deadline(0.0))
-
-
-def _set(section, key, value):
-    def edit(doc):
-        doc[section][key] = value
-    return edit
-
-
-def _del(section, key):
-    def edit(doc):
-        del doc[section][key]
-    return edit
-
-
-def _first_member(value):
-    def edit(doc):
-        doc["members"][0] = value
-    return edit
-
-
-# Edits of a valid k=4 cache document, each of which must make it a miss.
-MALFORMED_CACHE_DOCS = {
-    "counts-empty": lambda doc: doc.update(stage_counts={}),
-    "counts-without-max": _del("stage_counts", "max"),
-    "count-a-string": _set("stage_counts", "connected", "9"),
-    "count-a-float": _set("stage_counts", "noniso", 3.0),
-    "count-a-bool": _set("stage_counts", "all_subsets", True),
-    "times-without-total": _del("stage_times", "total"),
-    "time-a-string": _set("stage_times", "max", "0.1"),
-    "time-null": _set("stage_times", "noniso", None),
-    "members-a-dict": lambda doc: doc.update(members={"0": [0, 1, 2, 3]}),
-    "member-count-not-max": lambda doc: doc["members"].pop(),
-    "member-too-small": _first_member([0, 1]),
-    "member-repeats-a-vertex": _first_member([0, 1, 1, 2]),
-    "member-vertex-not-on-platform": _first_member([0, 1, 2, 9]),
-    "member-vertex-a-float": _first_member([0, 1, 2, 3.0]),
-    "member-vertex-a-string": _first_member([0, 1, 2, "3"]),
-    "member-not-a-list": _first_member(3),
-    "member-disconnected": _first_member([0, 1, 4, 5]),
-}
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        rng = random.Random(1)
-        g = random_connected_graph(rng, 7)
-        ss = subarchitectures(g, 4, cache_dir=tmp_path)
-        cached = load_cached(g, 4, tmp_path)
-        assert cached is not None
-        assert cached.counts_row() == ss.counts_row()
-        assert [m.vertices for m in cached.members] == [m.vertices for m in ss.members]
-
-    def test_digest_mismatch_ignored(self, tmp_path):
-        rng = random.Random(2)
-        g = random_connected_graph(rng, 7)
-        ss = max_subarchitectures(g, 4)
-        save_cached(ss, tmp_path)
-        other = random_connected_graph(rng, 7)
-        if other.digest() != g.digest():
-            assert load_cached(other, 4, tmp_path) is None
-
-    def test_unversioned_file_is_not_served(self, tmp_path):
-        # Files named {digest16}-k{k}.json carry no format and may hold classes
-        # merged by a trusted hash; here one holds a wrong member list.
-        g = CouplingGraph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
-                                     (4, 5), (5, 2)])
-        exact = max_subarchitectures(g, 5)
-        (tmp_path / f"{g.digest()[:16]}-k5.json").write_text(json.dumps({
-            "platform_digest": g.digest(), "k": 5, "members": [[0, 1, 2, 3, 4]],
-            "stage_counts": {"all_subsets": 6, "connected": 5, "noniso": 1, "max": 1},
-            "stage_times": {"connected": 0, "noniso": 0, "max": 0, "total": 0}}))
-        assert load_cached(g, 5, tmp_path) is None
-        again = subarchitectures(g, 5, cache_dir=tmp_path)
-        assert not again.cached
-        assert again.counts_row() == exact.counts_row()
-        assert [m.vertices for m in again.members] == [m.vertices for m in exact.members]
-
-    def test_other_format_is_a_miss(self, tmp_path):
-        rng = random.Random(5)
-        g = random_connected_graph(rng, 6)
-        path = save_cached(max_subarchitectures(g, 3), tmp_path)
-        assert path.name.endswith(f"-f{CACHE_FORMAT}.json")
-        doc = json.loads(path.read_text())
-        assert doc["format"] == CACHE_FORMAT
-        path.write_text(json.dumps(dict(doc, format=1)))
-        assert load_cached(g, 3, tmp_path) is None
-        assert not subarchitectures(g, 3, cache_dir=tmp_path).cached
-        assert load_cached(g, 3, tmp_path).cached
-
-    def test_unreadable_file_is_a_miss(self, tmp_path):
-        rng = random.Random(4)
-        g = random_connected_graph(rng, 6)
-        path = save_cached(max_subarchitectures(g, 3), tmp_path)
-        for text in ("{not json", "[]", '{"k": 3}'):
-            path.write_text(text)
-            maximal._store.clear()  # else the previous step's result is served
-            assert load_cached(g, 3, tmp_path) is None
-            ss = subarchitectures(g, 3, cache_dir=tmp_path)
-            assert not ss.cached
-        assert load_cached(g, 3, tmp_path).cached
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_used_by_pipeline(self, tmp_path):
-        rng = random.Random(3)
-        g = random_connected_graph(rng, 6)
-        first = subarchitectures(g, 3, cache_dir=tmp_path)
-        maximal._store.clear()  # so the file, not the store, serves the second call
-        again = subarchitectures(g, 3, cache_dir=tmp_path)
-        assert again.counts_row() == first.counts_row()
-        assert again.cached and not first.cached
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED_CACHE_DOCS))
-    def test_document_of_another_shape_is_a_miss(self, tmp_path, case):
-        g = CouplingGraph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
-                                     (4, 5), (5, 2)])
-        exact = max_subarchitectures(g, 4)
-        path = save_cached(exact, tmp_path)
-        doc = json.loads(path.read_text())
-        assert load_cached(g, 4, tmp_path).cached
-        MALFORMED_CACHE_DOCS[case](doc)
-        path.write_text(json.dumps(doc))
-        assert load_cached(g, 4, tmp_path) is None
-        again = subarchitectures(g, 4, cache_dir=tmp_path)
-        assert not again.cached
-        assert again.counts_row() == exact.counts_row()
-        assert [m.vertices for m in again.members] == [m.vertices for m in exact.members]
-        assert load_cached(g, 4, tmp_path).cached  # the recomputed result replaced it
 
 
 class TestStore:
