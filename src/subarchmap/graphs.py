@@ -24,11 +24,13 @@ class CouplingGraph:
     `_rows[i]` has bit j set iff `vertices[j]` is a neighbour of `vertices[i]`,
     and `_rank[v]` is the index of label v in `vertices`. `vertices` is sorted,
     so ascending bits are ascending labels. The isomorphism module caches its
-    search plan and degree masks in `_plan` and `_at_least` on first use. None
-    of it enters equality or hashing.
+    search plan, degree masks and automorphism-orbit decisions in `_plan`,
+    `_at_least` and `_orbits` on first use. None of it enters equality or
+    hashing.
     """
 
-    __slots__ = ("name", "vertices", "edges", "_rank", "_rows", "_plan", "_at_least")
+    __slots__ = ("name", "vertices", "edges", "_rank", "_rows", "_plan", "_at_least",
+                 "_orbits")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
@@ -53,6 +55,7 @@ class CouplingGraph:
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_plan", None)
         object.__setattr__(self, "_at_least", None)
+        object.__setattr__(self, "_orbits", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("CouplingGraph is immutable")

@@ -11,6 +11,12 @@ earlier-placed neighbour steps) and a host's degree masks (the vertices of
 degree at least d, for each d). A step's candidates then cost one int `&` per
 placed neighbour, VF2-style (Cordella et al., TPAMI 2004), and a pattern or
 host met again costs no set-up.
+
+The same matcher, with a graph as both pattern and host, decides the
+automorphism orbits the mapper breaks symmetry with: first_in_orbit pins a
+key's vertices, refines the colouring once per key, and matches a key only
+against kept keys whose refined classes have equal sizes, drawing each
+step's candidates from its class. Its decisions are cached on the graph too.
 """
 
 from __future__ import annotations
@@ -58,20 +64,25 @@ def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
     """
     if pattern.num_vertices > host.num_vertices or pattern.num_edges > host.num_edges:
         return False
-    steps = _plan(pattern)
-    rows = host._rows
-    at_least = _at_least(host)
+    return _match(_plan(pattern), _at_least(host), host._rows)
+
+
+def _match(steps, masks: tuple[int, ...] | list[int], rows: tuple[int, ...]) -> bool:
+    """The backtracking matcher: True iff each step i can place a distinct
+    vertex from masks[steps[i][0]] adjacent to the vertex placed by every
+    earlier step in steps[i][1]."""
     n = len(steps)
     image = [0] * n  # image[i]: row of the host vertex that step i placed
 
     def place(i: int, used: int) -> bool:
         if i == n:
             return True
-        degree, back = steps[i]
-        # Each candidate has the vertex's degree at least and is adjacent to
-        # the image of every placed neighbour, so it carries all of the
-        # vertex's edges to placed vertices.
-        c = at_least[degree] & ~used
+        mask, back = steps[i]
+        # Each candidate is in the step's mask (for subgraph_isomorphic: has
+        # the vertex's degree at least) and is adjacent to the image of every
+        # placed neighbour, so it carries all of the vertex's edges to placed
+        # vertices.
+        c = masks[mask] & ~used
         for j in back:
             c &= image[j]
         while c:
@@ -82,7 +93,88 @@ def subgraph_isomorphic(pattern: CouplingGraph, host: CouplingGraph) -> bool:
             c ^= b
         return False
 
-    return place(0, 0)
+    try:
+        return place(0, 0)
+    finally:
+        del place  # it holds itself through its cell
+
+
+def first_in_orbit(g: CouplingGraph, key: tuple[int, ...]) -> bool:
+    """False iff an automorphism of g carries a key kept earlier onto key.
+
+    A key is a tuple of distinct vertex ranks, and an automorphism carries
+    (u0, v0) onto (u, v) when it maps u0 to u and v0 to v; keys of unequal
+    length never meet. The first key met of each orbit is kept, so a caller
+    must meet the keys of g in one fixed order. The first key of each length
+    is kept with no work, and every decision is cached on g in `_orbits`.
+
+    Individualise and refine (McKay & Piperno, J. Symb. Comput. 2014), once
+    per key: see _refine. Refinement commutes with automorphisms, so one
+    that carries a kept key onto key carries each class of the kept key's
+    partition onto the class of key's partition with the same name. key is
+    compared only with the kept keys of equal class sizes, and the matcher
+    decides, with those classes as candidate masks. The whole group is never
+    enumerated.
+    """
+    if g._orbits is None:
+        object.__setattr__(g, "_orbits", ({}, {}))
+    decided, kept = g._orbits  # key -> verdict; length -> {kept key: its refinement}
+    if key not in decided:
+        earlier = kept.setdefault(len(key), {})
+        mine = None  # the first key is refined only when a later key needs it
+        if earlier:
+            mine = sizes, _, masks = _refine(g, key)
+            for other, theirs in earlier.items():
+                if theirs is None:
+                    theirs = earlier[other] = _refine(g, other)
+                if theirs[0] == sizes and _match(theirs[1], masks, g._rows):
+                    decided[key] = False
+                    return False
+        # The verdict is written before the key joins the kept keys: a key
+        # that was kept but not yet decided would later be carried onto itself.
+        decided[key] = True
+        earlier[key] = mine
+    return decided[key]
+
+
+def _refine(g: CouplingGraph, key: tuple[int, ...]):
+    """g's stable colouring with key's vertices individualised, as (class
+    sizes by name, a search plan that carries key's vertices, class masks).
+
+    The key's vertices start in classes of their own, the rest in one. Each
+    round names a vertex's class by its rank among the sorted distinct pairs
+    (its class, the sorted classes of its neighbours), until no class splits.
+    The names depend only on the refinement, never on ranks, which makes
+    them canonical. The plan places key's vertices first, then the rest
+    breadth-first, each step drawing from its vertex's class.
+    """
+    nbrs = list(map(bits, g._rows))
+    colours = [len(key)] * len(nbrs)
+    for i, v in enumerate(key):
+        colours[v] = i
+    count = len(set(colours))
+    while True:
+        at = colours.__getitem__
+        pairs = [(c, tuple(sorted(map(at, ns)))) for c, ns in zip(colours, nbrs)]
+        names = {p: i for i, p in enumerate(sorted(set(pairs)))}
+        colours = [names[p] for p in pairs]
+        if len(names) == count:
+            break
+        count = len(names)
+    sizes, masks = [0] * count, [0] * count
+    for v, c in enumerate(colours):
+        sizes[c] += 1
+        masks[c] |= 1 << v
+    order, placed = list(key), set(key)
+    for v in order:  # the loop reads what it appends: breadth-first
+        fresh = [w for w in nbrs[v] if w not in placed]
+        order += fresh
+        placed.update(fresh)
+    order += [v for v in range(len(nbrs)) if v not in placed]  # other components
+    step_of = {v: i for i, v in enumerate(order)}
+    steps = tuple((colours[v], tuple(step_of[w] for w in nbrs[v] if step_of[w] < i))
+                  for i, v in enumerate(order))
+    return tuple(sizes), steps, masks
 
 
 def _plan(pattern: CouplingGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -2,7 +2,8 @@
 
 map_optimal is an iterative-deepening search over swap count with an
 admissible distance heuristic and lazy qubit binding, so initial allocations
-are never enumerated explicitly. brute_force_optimal is a deliberately naive
+are never enumerated explicitly, and it tries one first binding per
+automorphism orbit of the target. brute_force_optimal is a deliberately naive
 exhaustive oracle that shares none of this search machinery.
 """
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 from .circuits import PHYSICAL, Allocation, Circuit, Gate
 from .graphs import CouplingGraph, bits, distances, is_connected
+from .iso import first_in_orbit
 from .maximal import Deadline
 
 
@@ -52,21 +54,32 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     logical qubit) and occ (per rank) are lists with -1 for none, the memo
     key is (done, *occ), and hop counts sit in one k*k list. Each mask of
     executed gates gets, on its first visit, a tuple of its ready gates and
-    one of its pending CX pairs, which the heuristic reads. g.vertices is
-    sorted, so rank order is label order: every loop tries its candidates in
-    label order, and the nodes visited and the witness depend on the labels
-    only through their order.
+    one of its pending CX pairs, each unordered pair once, which the
+    heuristic reads. g.vertices is sorted, so rank order is label order:
+    every loop tries its candidates in label order, and the nodes visited and
+    the witness depend on the labels only through their order.
+
+    At the empty placement (done == 0, nothing bound) a binding is skipped
+    when an automorphism of g carries a binding already tried for the same
+    gate onto it (iso.first_in_orbit, decided when the search reaches the
+    binding and cached on g, so a call whose first binding succeeds does no
+    orbit work). The automorphism carries each completion of the one onto a
+    completion of the other with the same steps and swaps.
 
     The memo, written on entry, prunes a state reached with no more swaps
     left than recorded. Each entry of a failed dfs is a true failure: else
     take the one with the fewest-step completion within its swaps, running
-    the committed gate first if there is one. Its first step was tried; the
-    admissible heuristic cannot cut it, so the child, or for the skipped undo
-    of the last swap (last_edge) the parent, holds an entry with a shorter
-    completion. So one memo serves every deepening limit, and dfs(0, B) fails
-    only if no mapping has at most B swaps. At the first limit that succeeds
-    no witness revisits a state, as cutting out the loop would save swaps,
-    so the first witness is never pruned, whatever earlier limits stored.
+    the committed gate first if there is one. Its first step was tried, or is
+    a skipped first binding, the image of a tried one whose child then has a
+    completion of the same length. The admissible heuristic cannot cut the
+    tried step, so the child, or for the skipped undo of the last swap
+    (last_edge) the parent, holds an entry with a shorter completion. So one
+    memo serves every deepening limit, and dfs(0, B) fails only if no mapping
+    has at most B swaps. At the first limit that succeeds no witness revisits
+    a state, as cutting out the loop would save swaps, so the first witness
+    is never pruned, whatever earlier limits stored. Bindings of one orbit
+    succeed or fail together, so the first that succeeds is first in its
+    orbit, and skipping changes no witness.
 
     A bounded call first runs dfs(0, bound) alone, the one limit that decides
     most of them; after a success the limits deepen from 0, so the witness is
@@ -99,7 +112,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         elif i:
             preds_mask[i] = 1 << (i - 1)
     full_mask = (1 << m) - 1
-    frontier: dict[int, tuple] = {}  # done -> (ready gates, pending CX pairs)
+    frontier: dict[int, tuple] = {}  # done -> (ready gates, distinct pending CX pairs)
 
     ops: list[tuple] = []
     # pos: the rank of each logical qubit, -1 while unbound, and one spare
@@ -142,7 +155,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         if done not in frontier:
             left = [i for i in range(m) if not done >> i & 1]
             frontier[done] = (tuple(i for i in left if preds_mask[i] & done == preds_mask[i]),
-                              tuple(gates[i].qubits for i in left if gates[i].name == "cx"))
+                              tuple(dict.fromkeys(tuple(sorted(gates[i].qubits))
+                                                  for i in left if gates[i].name == "cx")))
         ready, pairs = frontier[done]
         if heuristic(pairs) > remaining:
             return False
@@ -169,6 +183,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
         for i in unbound:
             for new in bindings(i):
+                if not done and not first_in_orbit(g, tuple(p for _, p in new)):
+                    continue  # an automorphism of g carries a tried binding onto it
                 for q, p in new:
                     pos[q] = p
                     occ[p] = q

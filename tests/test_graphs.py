@@ -9,6 +9,7 @@ import pytest
 from subarchmap import (CouplingGraph, induced_subgraph, is_connected,
                         load_platform, parse_platform, subgraph_isomorphic)
 from subarchmap.graphs import PlatformError, bits, distances
+from subarchmap.iso import first_in_orbit
 
 from conftest import random_connected_graph, relabel_graph, to_networkx
 
@@ -201,6 +202,8 @@ def test_neighbour_rows_follow_sorted_labels():
 def test_cached_search_data_stays_out_of_equality_and_hash():
     a, b = path_graph(4), path_graph(4)
     assert subgraph_isomorphic(a, b)
+    assert first_in_orbit(a, (0,)) and not first_in_orbit(a, (3,))  # the ends share an orbit
     assert a._plan is not None and b._plan is None
+    assert a._orbits is not None and b._orbits is None
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
 

@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subarchmap import CouplingGraph, is_isomorphic, subgraph_isomorphic, wl_hash
+from subarchmap import (CouplingGraph, is_isomorphic, load_platform, subgraph_isomorphic,
+                        wl_hash)
+from subarchmap.iso import first_in_orbit
 
 from conftest import random_connected_graph, relabel_graph, to_networkx
 
@@ -153,3 +156,119 @@ def loose_corpus(seed, count):
         graphs.append(CouplingGraph(verts, [e for e in itertools.combinations(verts, 2)
                                             if rng.random() < density]))
     return graphs
+
+
+def root_keys(g):
+    """The first bindings map_optimal tries at the empty placement, as rank
+    tuples in its order: both arcs of each edge (u < v, ascending), then every
+    vertex alone."""
+    rows = g._rows
+    arcs = [key for u in range(len(rows)) for v in range(u + 1, len(rows)) if rows[u] >> v & 1
+            for key in ((u, v), (v, u))]
+    return arcs + [(v,) for v in range(len(rows))]
+
+
+def vf2_orbit_firsts(g, keys):
+    """For each key, whether no earlier key is carried onto it by an automorphism.
+
+    networkx decides it: the key's vertices carry their place in the key as
+    a node attribute, and VF2 looks for an isomorphism that keeps it. Keys
+    meet only those of an equal WL hash, which isomorphic pinned graphs share.
+    """
+    nx = pytest.importorskip("networkx")
+
+    def same_pin(a, b):
+        return a["pin"] == b["pin"]
+
+    firsts, kept = [], {}
+    for key in keys:
+        h = to_networkx(g)
+        nx.set_node_attributes(h, -1, "pin")
+        nx.set_node_attributes(h, {g.vertices[r]: i for i, r in enumerate(key)}, "pin")
+        bucket = kept.setdefault(nx.weisfeiler_lehman_graph_hash(h, node_attr="pin"), [])
+        first = not any(nx.is_isomorphic(other, h, node_match=same_pin) for other in bucket)
+        if first:
+            bucket.append(h)
+        firsts.append(first)
+    return firsts
+
+
+def from_networkx(h):
+    """A CouplingGraph on 0..n-1 from a networkx graph with any node names."""
+    nx = pytest.importorskip("networkx")
+    h = nx.convert_node_labels_to_integers(h)
+    return CouplingGraph(h.nodes, h.edges)
+
+
+def named_graphs():
+    nx = pytest.importorskip("networkx")
+    # The Frucht graph is 3-regular with no automorphism but the identity:
+    # one pinned vertex refines it to singletons, so every vertex key has the
+    # same class sizes and only the matcher can tell the keys apart.
+    yield "frucht", from_networkx(nx.frucht_graph())
+    yield "petersen", from_networkx(nx.petersen_graph())
+    for n in range(3, 9):
+        yield f"cycle-{n}", cycle(n)
+    for n in range(3, 7):
+        yield f"prism-{n}", from_networkx(nx.circular_ladder_graph(n))
+    yield "K3,3", from_networkx(nx.complete_bipartite_graph(3, 3))
+    for seed in range(6):
+        yield f"3-regular-12-{seed}", from_networkx(nx.random_regular_graph(3, 12, seed=seed))
+    yield "guadalupe", load_platform("guadalupe")
+
+
+class TestFirstInOrbit:
+    def test_matches_vf2_on_symmetric_and_rigid_graphs(self):
+        for name, g in named_graphs():
+            keys = root_keys(g)
+            assert [first_in_orbit(g, key) for key in keys] == vf2_orbit_firsts(g, keys), name
+
+    def test_matches_vf2_on_random_graphs_with_label_gaps(self):
+        rng = random.Random(51)
+        for _ in range(100):
+            g = random_connected_graph(rng, rng.randrange(5, 11))
+            g = relabel_graph(g, dict(zip(g.vertices, rng.sample(LABELS, g.num_vertices))))
+            keys = root_keys(g)
+            assert [first_in_orbit(g, key) for key in keys] == vf2_orbit_firsts(g, keys), \
+                (g.vertices, sorted(g.edges))
+
+    def test_matches_vf2_on_graphs_of_any_shape(self):
+        # Disconnected graphs and isolated vertices leave vertices that no
+        # breadth-first search from the key reaches.
+        for g in loose_corpus(53, 60):
+            keys = root_keys(g)
+            assert [first_in_orbit(g, key) for key in keys] == vf2_orbit_firsts(g, keys), \
+                (g.vertices, sorted(g.edges))
+
+    def test_decisions_are_cached_on_the_graph(self):
+        g = cycle(6)
+        keys = root_keys(g)
+        firsts = [first_in_orbit(g, key) for key in keys]
+        assert firsts.count(True) == 2  # one arc orbit and one vertex orbit
+        decided, _ = g._orbits
+        assert [decided[key] for key in keys] == firsts
+        assert [first_in_orbit(g, key) for key in reversed(keys)] == firsts[::-1]
+
+    def test_deciding_every_root_key_finishes_quickly(self):
+        # Each of these took minutes with an earlier design: candidate masks
+        # by degree alone, classes refined without pinning, or refinement of
+        # every pair of keys jointly.
+        nx = pytest.importorskip("networkx")
+        from perfbench.heavyhex import heavy_hex
+        n, edges = heavy_hex()
+        # (name, graph, orbits on root keys when they are plain to see)
+        graphs = [("heavy-hex-127", CouplingGraph(range(n), edges), None),
+                  ("grid-10x10", from_networkx(nx.grid_2d_graph(10, 10)), None),
+                  ("tutte", from_networkx(nx.tutte_graph()), None),
+                  ("Q6", from_networkx(nx.hypercube_graph(6)), 2),
+                  ("K12", from_networkx(nx.complete_graph(12)), 2),
+                  ("K8,8", from_networkx(nx.complete_bipartite_graph(8, 8)), 2),
+                  ("star-16", from_networkx(nx.star_graph(16)), 4)]
+        graphs += [(f"4-regular-30-{seed}",
+                    from_networkx(nx.random_regular_graph(4, 30, seed=seed)), None)
+                   for seed in range(3)]
+        for name, g, orbits in graphs:
+            t0 = time.perf_counter()
+            kept = sum(first_in_orbit(g, key) for key in root_keys(g))
+            assert time.perf_counter() - t0 < 8, name
+            assert orbits is None or kept == orbits, name

@@ -1,13 +1,15 @@
 import gc
 import itertools
+import json
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from subarchmap import (Allocation, Circuit, CouplingGraph, Gate, StrategyConfig,
                         brute_force_optimal, induced_subgraph, load_platform,
-                        map_optimal, map_with_subarch)
+                        iso, map_optimal, map_with_subarch, mapper, strategy)
 from subarchmap.mapper import OracleLimitError
 from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
@@ -301,7 +303,77 @@ def test_a_call_cut_by_its_deadline_leaves_nothing_for_the_cycle_collector():
     gc.disable()
     try:
         with pytest.raises(BudgetExceeded):
-            map_optimal(make_ring_circuit(5), cycle(6), deadline=CountdownDeadline(20))
+            map_optimal(make_ring_circuit(5), cycle(6), deadline=CountdownDeadline(10))
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def symmetric_graphs():
+    complete = lambda n: CouplingGraph(range(n), itertools.combinations(range(n), 2))
+    yield complete(4)
+    yield complete(5)
+    yield CouplingGraph(range(6), [(0, v) for v in range(1, 6)])  # star
+    yield cycle(6)
+    yield path(6)
+    yield CouplingGraph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                   (0, 3), (1, 4), (2, 5)])  # prism
+    yield CouplingGraph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])  # K3,3
+    yield CouplingGraph(range(8), [(a, a | 1 << i) for a in range(8) for i in range(3)
+                                   if not a >> i & 1])  # cube
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_orbit_skipping_changes_no_result(monkeypatch, relaxed):
+    # Bindings of one orbit succeed or fail together, so the first that
+    # succeeds is first in its orbit and every result is the one the full
+    # search finds, bounded or not. Skipping saves nodes on these graphs.
+    rng = random.Random(12)
+    cases = []
+    for g in symmetric_graphs():
+        for t in range(6):
+            n = rng.randrange(2, 5)
+            gates = [Gate("h", (rng.randrange(n),))] if t % 3 == 0 else []  # unary first
+            gates += [Gate("cx", tuple(rng.sample(range(n), 2))) for _ in range(rng.randrange(2, 8))]
+            cases += [(Circuit(n, tuple(gates)), g, bound) for bound in (None, 0, 1, 2)]
+
+    def run():
+        deadline, results = CountdownDeadline(10**9), []
+        for c, g, bound in cases:
+            r = map_optimal(c, g, bound=bound, relaxed=relaxed, deadline=deadline)
+            results.append(r and outcome(r))
+        return results, 10**9 - deadline.left
+
+    skipping, nodes = run()
+    monkeypatch.setattr(mapper, "first_in_orbit", lambda g, key: True)
+    full, full_nodes = run()
+    assert skipping == full
+    assert {r is None for r in full} == {True, False}
+    assert nodes < 0.8 * full_nodes
+
+
+def test_a_call_whose_first_binding_succeeds_does_no_orbit_work(monkeypatch):
+    from perfbench.heavyhex import heavy_hex
+    n, edges = heavy_hex()
+    g = CouplingGraph(range(n), edges)
+    refined, refine = [], iso._refine
+    monkeypatch.setattr(iso, "_refine", lambda g, key: refined.append(key) or refine(g, key))
+    c = Circuit(2, (Gate("cx", (0, 1)),))
+    assert map_optimal(c, g).swaps == map_optimal(c, g, bound=0).swaps == 0
+    assert refined == []
+
+
+def test_map_batch_pool_search_nodes(monkeypatch):
+    # Symmetry breaking at the empty placement took the pool from 423,364
+    # search nodes to 336,386, counted one per deadline check.
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "expected.json").read_text())
+    counter, map_optimal = CountdownDeadline(10**9), strategy.map_optimal
+    monkeypatch.setattr(strategy, "map_optimal", lambda c, g, bound, deadline:
+                        map_optimal(c, g, bound=bound, deadline=counter))
+    guadalupe, cfg = load_platform("guadalupe"), StrategyConfig(max_ancillas=2)
+    for case in expected["map-batch"]["circuits"]:
+        c = Circuit(case["n"], tuple(Gate("cx", tuple(pair)) for pair in case["cx"]))
+        r = map_with_subarch(guadalupe, c, cfg)
+        assert (r.swaps, r.ancillas) == (case["swaps"], case["ancillas"])
+    assert 10**9 - counter.left <= 340_000
