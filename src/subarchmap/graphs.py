@@ -25,12 +25,13 @@ class CouplingGraph:
     and `_rank[v]` is the index of label v in `vertices`. `vertices` is sorted,
     so ascending bits are ascending labels. The isomorphism module caches its
     search plan, degree masks and automorphism-orbit decisions in `_plan`,
-    `_at_least` and `_orbits` on first use. None of it enters equality or
-    hashing.
+    `_at_least` and `_orbits` on first use, and the mapper its hop table,
+    neighbour lists and edge list in `_hops`. None of it enters equality,
+    hashing, copies or pickles.
     """
 
     __slots__ = ("name", "vertices", "edges", "_rank", "_rows", "_plan", "_at_least",
-                 "_orbits")
+                 "_orbits", "_hops")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
@@ -56,6 +57,7 @@ class CouplingGraph:
         object.__setattr__(self, "_plan", None)
         object.__setattr__(self, "_at_least", None)
         object.__setattr__(self, "_orbits", None)
+        object.__setattr__(self, "_hops", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("CouplingGraph is immutable")

@@ -52,10 +52,10 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     The state is flat and indexed by vertex rank in g.vertices: pos (per
     logical qubit) and occ (per rank) are lists with -1 for none, the memo
-    key is (done, *occ), and hop counts sit in one k*k list. Each mask of
-    executed gates gets, on its first visit, a tuple of its ready gates and
-    one of its pending CX pairs, each unordered pair once, which the
-    heuristic reads. g.vertices is sorted, so rank order is label order:
+    key is (done, *occ), and hop counts sit in one k*k tuple kept on g. Each
+    mask of executed gates gets, on its first visit, a tuple of its ready
+    gates and one of its pending CX pairs, each unordered pair once, which
+    the heuristic reads. g.vertices is sorted, so rank order is label order:
     every loop tries its candidates in label order, and the nodes visited and
     the witness depend on the labels only through their order.
 
@@ -65,6 +65,17 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     binding and cached on g, so a call whose first binding succeeds does no
     orbit work). The automorphism carries each completion of the one onto a
     completion of the other with the same steps and swaps.
+
+    dfs enters only states the heuristic (the longest hop count of a bound
+    pending CX pair, less one) does not cut, as each parent tests its children
+    first. The root binds nothing. A committed gate's child keeps positions
+    and swaps left, with a subset of the pairs. A binding child is tested once
+    bound, on the parent's pairs: the child's and at most the gate's own, now
+    1 apart. A swap moves each qubit one step, so only pairs at least
+    `remaining` apart, listed before the swap loop, can exceed a swap child's
+    cut, and only they are tested. A skipped child gets no memo entry, as a
+    cut one got none, so the states expanded, in order, the memo and the
+    witness are those of a test on entry.
 
     The memo, written on entry, prunes a state reached with no more swaps
     left than recorded. Each entry of a failed dfs is a true failure: else
@@ -83,20 +94,23 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     A bounded call first runs dfs(0, bound) alone, the one limit that decides
     most of them; after a success the limits deepen from 0, so the witness is
-    the one an unbounded call finds. deadline is checked at every node.
+    the one an unbounded call finds. deadline is checked at every entered
+    node.
     """
     if c.n_qubits > g.num_vertices:
         raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
                          f"{g.num_vertices}")
-    if not is_connected(g):
-        raise ValueError("coupling graph must be connected")
-
     gates = c.gates
     m = len(gates)
     k = g.num_vertices
-    dist = [row[w] for row in (distances(g, v) for v in g.vertices) for w in g.vertices]
-    nbrs = [bits(row) for row in g._rows]
-    edges = [(r, s) for r in range(k) for s in nbrs[r] if r < s]
+    if g._hops is None:  # built once per graph object, which only a connected g gets
+        if not is_connected(g):
+            raise ValueError("coupling graph must be connected")
+        nbrs = tuple(bits(row) for row in g._rows)
+        object.__setattr__(g, "_hops", (
+            tuple(row[w] for row in (distances(g, v) for v in g.vertices) for w in g.vertices),
+            nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s)))
+    dist, nbrs, edges = g._hops
 
     # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits
     # only for the previous gate on each of its qubits; strict order is the
@@ -158,8 +172,6 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                               tuple(dict.fromkeys(tuple(sorted(gates[i].qubits))
                                                   for i in left if gates[i].name == "cx")))
         ready, pairs = frontier[done]
-        if heuristic(pairs) > remaining:
-            return False
         key = (done, *occ)
         if memo.get(key, -1) >= remaining:
             return False
@@ -188,22 +200,30 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                 for q, p in new:
                     pos[q] = p
                     occ[p] = q
-                ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
-                if dfs(done | 1 << i, remaining, None, memo):
-                    return True
-                ops.pop()
+                if heuristic(pairs) <= remaining:  # gate i's own pair is 1 apart
+                    ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
+                    if dfs(done | 1 << i, remaining, None, memo):
+                        return True
+                    ops.pop()
                 for q, p in new:
                     pos[q] = occ[p] = -1
 
         if remaining > 0:
+            # the only pairs a swap can carry past the child's cut
+            tight = [(a, b) for a, b in pairs if pos[a] >= 0 and pos[b] >= 0
+                     and dist[pos[a] * k + pos[b]] >= remaining]
             for u, v in edges:
                 if (u, v) == last_edge or occ[u] == occ[v]:
                     continue  # an undo the memo would prune, or a no-op (both free)
                 swap(u, v)
-                ops.append((None, (u, v)))
-                if dfs(done, remaining - 1, (u, v), memo):
-                    return True
-                ops.pop()
+                for a, b in tight:
+                    if dist[pos[a] * k + pos[b]] > remaining:
+                        break
+                else:
+                    ops.append((None, (u, v)))
+                    if dfs(done, remaining - 1, (u, v), memo):
+                        return True
+                    ops.pop()
                 swap(u, v)
         return False
 

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from subarchmap import (CouplingGraph, induced_subgraph, is_connected,
-                        load_platform, parse_platform, subgraph_isomorphic)
+from subarchmap import (Circuit, CouplingGraph, Gate, induced_subgraph, is_connected,
+                        load_platform, map_optimal, parse_platform, subgraph_isomorphic)
 from subarchmap.graphs import PlatformError, bits, distances
 from subarchmap.iso import first_in_orbit
 
@@ -205,5 +205,9 @@ def test_cached_search_data_stays_out_of_equality_and_hash():
     assert first_in_orbit(a, (0,)) and not first_in_orbit(a, (3,))  # the ends share an orbit
     assert a._plan is not None and b._plan is None
     assert a._orbits is not None and b._orbits is None
+    triangle = Circuit(3, tuple(Gate("cx", p) for p in [(0, 1), (1, 2), (0, 2)]))
+    assert map_optimal(triangle, a).swaps == 1
+    assert a._hops is not None and b._hops is None
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert copy.copy(a)._hops is None and pickle.loads(pickle.dumps(a))._hops is None
 

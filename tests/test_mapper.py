@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -363,17 +364,74 @@ def test_a_call_whose_first_binding_succeeds_does_no_orbit_work(monkeypatch):
     assert refined == []
 
 
-def test_map_batch_pool_search_nodes(monkeypatch):
-    # Symmetry breaking at the empty placement took the pool from 423,364
-    # search nodes to 336,386, counted one per deadline check.
+def map_batch_pool():
+    """The 150 map-batch circuits with their expected (swaps, ancillas)."""
     expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                            / "expected.json").read_text())
+    return [(Circuit(case["n"], tuple(Gate("cx", tuple(pair)) for pair in case["cx"])),
+             (case["swaps"], case["ancillas"])) for case in expected["map-batch"]["circuits"]]
+
+
+def test_map_batch_pool_search_nodes(monkeypatch):
+    # Search nodes over the pool, counted one per deadline check. Symmetry
+    # breaking at the empty placement took them from 423,364 to 336,386;
+    # deciding each child's heuristic cut in its parent, so that no state is
+    # entered only to be cut, took them to 151,335.
     counter, map_optimal = CountdownDeadline(10**9), strategy.map_optimal
     monkeypatch.setattr(strategy, "map_optimal", lambda c, g, bound, deadline:
                         map_optimal(c, g, bound=bound, deadline=counter))
     guadalupe, cfg = load_platform("guadalupe"), StrategyConfig(max_ancillas=2)
-    for case in expected["map-batch"]["circuits"]:
-        c = Circuit(case["n"], tuple(Gate("cx", tuple(pair)) for pair in case["cx"]))
+    for c, swaps_ancillas in map_batch_pool():
         r = map_with_subarch(guadalupe, c, cfg)
-        assert (r.swaps, r.ancillas) == (case["swaps"], case["ancillas"])
-    assert 10**9 - counter.left <= 340_000
+        assert (r.swaps, r.ancillas) == swaps_ancillas
+    assert 10**9 - counter.left <= 151_335
+
+
+def witness_digest() -> str:
+    """sha256 over every witness of the map-batch pool and of seeded direct calls.
+
+    A pool circuit contributes its swaps, ancillas, mapped gates, initial
+    layout, outcome list and map_calls through map_with_subarch on guadalupe
+    with 2 ancillas. Then 60 seeded circuits, on random connected graphs
+    (some with label gaps) and on symmetric ones, with a one-qubit gate in
+    every third, each go to map_optimal strict and relaxed at bounds None, 0,
+    1 and 2: 480 calls, each contributing its swaps, mapped gates and layout,
+    or None.
+    """
+    h = hashlib.sha256()
+
+    def add(r):
+        h.update(repr(None if r is None else
+                      (r.swaps, r.mapped.gates, r.initial.forward)).encode())
+
+    guadalupe, cfg = load_platform("guadalupe"), StrategyConfig(max_ancillas=2)
+    for c, _ in map_batch_pool():
+        report = map_with_subarch(guadalupe, c, cfg)
+        add(report.result)
+        h.update(repr((report.ancillas, report.outcomes, report.map_calls)).encode())
+    rng = random.Random(18)
+    graphs = list(symmetric_graphs())
+    for t in range(60):
+        if t % 2:
+            g = graphs[t // 2 % len(graphs)]
+        else:
+            g = random_connected_graph(rng, rng.randrange(4, 8), rng.randrange(3))
+            if t % 4 == 0:
+                g = relabel_graph(g, dict(zip(g.vertices, sorted(
+                    rng.sample(range(100), g.num_vertices)))))
+        c = random_circuit(rng, rng.randrange(2, min(g.num_vertices, 5) + 1),
+                           rng.randrange(3, 12))
+        if t % 3 == 0:
+            c = Circuit(c.n_qubits, (Gate("h", (rng.randrange(c.n_qubits),)),) + c.gates)
+        for relaxed in (False, True):
+            for bound in (None, 0, 1, 2):
+                add(map_optimal(c, g, bound=bound, relaxed=relaxed))
+    return h.hexdigest()
+
+
+def test_witnesses_are_pinned():
+    # Any change to the search's visit order, memo or pruning that alters a
+    # witness, an outcome or a call count changes the digest. A change that
+    # only prunes states the search could never complete keeps it.
+    assert witness_digest() == \
+        "22211ed3016278fad550005ed84eb370b0c855d24e37a7c02178b2a9ea4792ec"
