@@ -20,18 +20,19 @@ class CouplingGraph:
     so an allocation onto an induced subgraph is directly an allocation onto
     the platform it was cut from. Instances are immutable, hashable and picklable.
 
-    Adjacency is one neighbour bitmask per vertex, built with the graph:
-    `_rows[i]` has bit j set iff `vertices[j]` is a neighbour of `vertices[i]`,
-    and `_rank[v]` is the index of label v in `vertices`. `vertices` is sorted,
-    so ascending bits are ascending labels. The isomorphism module caches its
-    search plan, degree masks and automorphism-orbit decisions in `_plan`,
-    `_at_least` and `_orbits` on first use, and the mapper its hop table,
-    neighbour lists and edge list in `_hops`. None of it enters equality,
-    hashing, copies or pickles.
+    `(vertices, _rows)` is the graph: `_rows[i]` has bit j set iff `vertices[j]`
+    is a neighbour of `vertices[i]`, and `_rank[v]` is the index of label v in
+    `vertices`. `vertices` is sorted, so ascending bits are ascending labels and
+    equal rows are equal edge sets. The rows are the only adjacency structure:
+    `edges` is built from them on each read, and `num_vertices` and `num_edges`
+    are counted at construction. The isomorphism module caches its search plan,
+    degree masks and automorphism-orbit decisions in `_plan`, `_at_least` and
+    `_orbits` on first use, and the mapper its hop table, neighbour lists and
+    edge list in `_hops`. None of it enters equality, hashing, copies or pickles.
     """
 
-    __slots__ = ("name", "vertices", "edges", "_rank", "_rows", "_plan", "_at_least",
-                 "_orbits", "_hops")
+    __slots__ = ("name", "vertices", "num_vertices", "num_edges", "_rank", "_rows", "_plan",
+                 "_at_least", "_orbits", "_hops")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
@@ -39,19 +40,18 @@ class CouplingGraph:
         rank = dict(zip(vs, range(len(vs))))
         if len(rank) != len(vs):
             raise PlatformError("duplicate vertex labels")
-        norm = set()
         rows = [0] * len(vs)
         for u, v in edges:
             if u == v:
                 raise PlatformError(f"self-loop on vertex {u}")
             if u not in rank or v not in rank:
                 raise PlatformError(f"edge ({u},{v}) has endpoint outside vertex set")
-            norm.add((u, v) if u < v else (v, u))
             rows[rank[u]] |= 1 << rank[v]
             rows[rank[v]] |= 1 << rank[u]
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "num_vertices", len(vs))
+        object.__setattr__(self, "num_edges", sum(r.bit_count() for r in rows) // 2)
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_plan", None)
@@ -63,23 +63,23 @@ class CouplingGraph:
         raise AttributeError("CouplingGraph is immutable")
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as (low, high) label pairs, built from the rows on each read."""
+        vs = self.vertices
+        return frozenset((vs[i], vs[j]) for i, row in enumerate(self._rows)
+                         for j in bits(row) if i < j)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        rank = self._rank
+        return u in rank and v in rank and self._rows[rank[u]] >> rank[v] & 1 == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CouplingGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._rows))
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as __setattr__ refuses them

@@ -126,9 +126,9 @@ def subarchitectures(g: CouplingGraph, k: int, *,
     """max_subarchitectures(g, k), computed once per (platform, k) and process.
 
     Looks in the in-process store and computes only on a miss. The store key
-    compares vertices and edges exactly, and the platform name as well, since
-    members carry it. A result cut off by the deadline is never stored. A
-    hit is a fresh SubarchSet around the caller's g, marked cached.
+    compares vertices and neighbour rows exactly, and the platform name as
+    well, since members carry it. A result cut off by the deadline is never
+    stored. A hit is a fresh SubarchSet around the caller's g, marked cached.
     """
     key = (g, g.name, k)
     stored = _store.get(key)

@@ -34,6 +34,15 @@ class TestCouplingGraph:
         g = path_graph(3)
         assert g.has_edge(1, 0) and g.has_edge(0, 1)
         assert not g.has_edge(0, 2)
+        assert not g.has_edge(0, 9) and not g.has_edge(9, 0) and not g.has_edge(9, 9)
+        assert not any(g.has_edge(v, v) for v in g.vertices)
+        rng = random.Random(5)
+        verts = rng.sample(range(200), 25)
+        g = CouplingGraph(verts, [e for e in itertools.combinations(verts, 2)
+                                  if rng.random() < 0.2])
+        edges = g.edges
+        for u, v in itertools.product(range(200), repeat=2):
+            assert g.has_edge(u, v) is ((min(u, v), max(u, v)) in edges)
 
     def test_rejects_self_loop(self):
         with pytest.raises(PlatformError, match="self-loop"):
@@ -74,6 +83,15 @@ class TestCouplingGraph:
         b = CouplingGraph(range(3), [(2, 1), (1, 0)])
         assert a.digest() == b.digest()
         assert a.digest() != path_graph(4).digest()
+
+    def test_digest_strings_are_pinned(self):
+        # perfbench's tracer keys traced results by these strings
+        g = load_platform("guadalupe")
+        assert g.digest() == "04d2b3ba457084ca358de8f4722256356dd1e651cd7ce64984119178e1562c6e"
+        assert load_platform("tokyo").digest() == (
+            "4ba2f62b2a1cbef79591facfa96237b52a6315f082802eca43b2e669397390eb")
+        assert induced_subgraph(g, (0, 1, 2, 4)).digest() == (
+            "0df6e2d3c249e7c6d224680f525e24e8dcd37df34c70d6127494c28e45f1c9f1")
 
 
 class TestParsePlatform:
@@ -189,8 +207,12 @@ def test_induced_subgraph_matches_edge_filter():
         members = set(rng.sample(verts, rng.randrange(0, 12)))
         sub = induced_subgraph(g, members)
         assert sub.vertices == tuple(sorted(members))
-        assert sub.edges == {(u, v) for u, v in g.edges if u in members and v in members}
+        filtered = {(u, v) for u, v in g.edges if u in members and v in members}
+        assert sub.edges == filtered
         assert sub.name == "sparse"
+        rebuilt = CouplingGraph(members, filtered, name="sparse")
+        assert sub == rebuilt and hash(sub) == hash(rebuilt)
+        assert sub.num_edges == len(filtered) and sub._rows == rebuilt._rows
 
 
 def test_neighbour_rows_follow_sorted_labels():
