@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 LOGICAL = "logical"
@@ -101,7 +102,7 @@ def unmap(c: Circuit, a: Allocation) -> Circuit:
 
     Unary and cx gates are renamed through the inverse of the running
     allocation; swap gates are consumed by composing their transposition into
-    it. Touching an unallocated qubit is a contract violation.
+    it. Touching an unallocated qubit, or a logical one >= len(a), is an error.
     """
     if c.space != PHYSICAL:
         raise ValueError("unmap expects a physical circuit")
@@ -119,14 +120,16 @@ def unmap(c: Circuit, a: Allocation) -> Circuit:
             try:
                 out.append(g.relabel(inv))
             except KeyError as exc:
-                raise UnmapError(
-                    f"gate {idx} ({g.name}) acts on unallocated qubit {exc.args[0]}"
-                ) from exc
+                raise UnmapError(f"gate {idx} ({g.name}) acts on unallocated qubit "
+                                 f"{exc.args[0]}") from exc
+            if (q := max(out[-1].qubits)) >= len(a):
+                raise UnmapError(f"gate {idx} ({g.name}) acts on logical qubit {q}, "
+                                 f"beyond the {len(a)} allocated")
     return Circuit(len(a), tuple(out), LOGICAL)
 
 
 _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
-_GATE_RE = re.compile(r"^(?P<name>[A-Za-z_]\w*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>.*)$")
+_GATE_RE = re.compile(r"^(?P<name>[A-Za-z_]\w*)\s*(?:\((?P<params>.*)\))?\s*(?P<args>.*)$")
 _OPERAND_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
 
 
@@ -155,11 +158,13 @@ def parse_qasm(text: str, space: str = LOGICAL) -> Circuit:
         if reg_name is None:
             raise QasmError(f"gate before qreg declaration: {stmt!r}")
         m = _GATE_RE.match(stmt)
-        if not m or not m.group("args"):
+        if not m or not m.group("args") or m.group("name").lower() in (
+                "measure", "reset", "if", "gate", "opaque"):
             raise QasmError(f"unsupported statement: {stmt!r}")
-        name = m.group("name").lower()
-        if name in ("measure", "reset", "if", "gate", "opaque"):
-            raise QasmError(f"unsupported statement: {stmt!r}")
+        name, params = m.group("name").lower(), (m.group("params") or "").strip()
+        depth = [0, *accumulate((ch == "(") - (ch == ")") for ch in params)]
+        if min(depth) < 0 or depth[-1]:  # the first "(" must close at the last ")"
+            raise QasmError(f"unbalanced parentheses in {stmt!r}")
         operands = []
         for arg in m.group("args").split(","):
             om = _OPERAND_RE.match(arg.strip())
@@ -168,7 +173,6 @@ def parse_qasm(text: str, space: str = LOGICAL) -> Circuit:
             operands.append(int(om.group(2)))
         if len(operands) > 2:
             raise QasmError(f"gates of arity >= 3 are unsupported: {stmt!r}")
-        params = (m.group("params") or "").strip()
         if name in ("cx", "swap") and len(operands) != 2:
             raise QasmError(f"{name} needs two operands: {stmt!r}")
         if name not in ("cx", "swap") and len(operands) != 1:

@@ -69,13 +69,14 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     dfs enters only states the heuristic (the longest hop count of a bound
     pending CX pair, less one) does not cut, as each parent tests its children
     first. The root binds nothing. A committed gate's child keeps positions
-    and swaps left, with a subset of the pairs. A binding child is tested once
-    bound, on the parent's pairs: the child's and at most the gate's own, now
-    1 apart. A swap moves each qubit one step, so only pairs at least
-    `remaining` apart, listed before the swap loop, can exceed a swap child's
-    cut, and only they are tested. A skipped child gets no memo entry, as a
-    cut one got none, so the states expanded, in order, the memo and the
-    witness are those of a test on entry.
+    and swaps left, with a subset of the pairs. Binding and swap children
+    share one early-exit test, skip at the first bound pending pair more than
+    a limit apart: `remaining + 1` for a binding child, once bound, on the
+    parent's pairs (the child's and at most the gate's own, now 1 apart);
+    `remaining` for a swap child, on the pairs at least `remaining` apart
+    listed before the swap loop, as a swap moves each qubit one step. A
+    skipped child gets no memo entry, as a cut one got none, so the states
+    expanded, in order, the memo and the witness are those of a test on entry.
 
     The memo, written on entry, prunes a state reached with no more swaps
     left than recorded. Each entry of a failed dfs is a true failure: else
@@ -133,14 +134,6 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     # last slot that takes the writes made through a free rank's -1.
     pos = [-1] * (c.n_qubits + 1)
     occ = [-1] * k  # logical qubit at each rank, -1 while free
-
-    def heuristic(pairs: tuple[tuple[int, int], ...]) -> int:
-        h = 1  # a bound pair d apart needs d - 1 more swaps
-        for a, b in pairs:
-            pa, pb = pos[a], pos[b]
-            if pa >= 0 and pb >= 0 and dist[pa * k + pb] > h:
-                h = dist[pa * k + pb]
-        return h - 1
 
     def bindings(i: int) -> list[tuple[tuple[int, int], ...]]:
         """New (logical, rank) bindings that let gate i run right now."""
@@ -200,7 +193,10 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                 for q, p in new:
                     pos[q] = p
                     occ[p] = q
-                if heuristic(pairs) <= remaining:  # gate i's own pair is 1 apart
+                for a, b in pairs:  # gate i's own pair is 1 apart
+                    if pos[a] >= 0 and pos[b] >= 0 and dist[pos[a] * k + pos[b]] > remaining + 1:
+                        break
+                else:
                     ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
                     if dfs(done | 1 << i, remaining, None, memo):
                         return True

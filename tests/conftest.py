@@ -81,6 +81,16 @@ def random_connected_graph(rng: random.Random, n: int,
     return CouplingGraph(range(n), edges)
 
 
+def path(n: int) -> CouplingGraph:
+    """The path 0 - 1 - ... - n-1."""
+    return CouplingGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> CouplingGraph:
+    """The cycle 0 - 1 - ... - n-1 - 0."""
+    return CouplingGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
 def make_ring_circuit(n: int) -> Circuit:
     """cx(0,1); cx(1,2); ...; cx(n-1,0): the canonical ring of CX gates."""
     return Circuit(n, tuple(Gate("cx", (i, (i + 1) % n)) for i in range(n)))

@@ -76,6 +76,11 @@ class TestUnmap:
         with pytest.raises(UnmapError, match="unallocated"):
             unmap(phys, Allocation.from_dict({0: 0}))
 
+    def test_logical_label_beyond_allocation_is_error(self):
+        phys = Circuit(3, (Gate("cx", (0, 2)),), PHYSICAL)
+        with pytest.raises(UnmapError, match="logical qubit 5"):
+            unmap(phys, Allocation.from_dict({0: 0, 1: 1, 5: 2}))
+
     def test_requires_physical_space(self):
         with pytest.raises(ValueError):
             unmap(Circuit(1, (Gate("x", (0,)),)), Allocation.from_dict({0: 0}))
@@ -119,6 +124,24 @@ class TestQasm:
     def test_gate_before_qreg(self):
         with pytest.raises(QasmError, match="before qreg"):
             parse_qasm("h q[0]; qreg q[1];")
+
+    @pytest.mark.parametrize("stmt, params", [
+        ("rz((pi)/2) q[0];", "(pi)/2"),
+        ("u3(0.1,(0.2),-(pi/4)) q[1];", "0.1,(0.2),-(pi/4)"),
+        ("u3(0.1, 0.2,pi) q[1];", "0.1, 0.2,pi"),
+        ("rz( pi/4 ) q[0];", "pi/4"),
+        ("rz() q[0];", ""),
+    ])
+    def test_params_are_text_up_to_the_closing_parenthesis(self, stmt, params):
+        c = parse_qasm(f"qreg q[2]; {stmt}")
+        assert c.gates[0].params == params
+        assert parse_qasm(emit_qasm(c)) == c
+
+    @pytest.mark.parametrize("stmt", ["rz(pi/2)) q[0];", "rz(a)(b) q[0];", "rz(pi/2 q[0];",
+                                      "rz)pi( q[0];"])
+    def test_rejects_unbalanced_parentheses(self, stmt):
+        with pytest.raises(QasmError):
+            parse_qasm(f"qreg q[1]; {stmt}")
 
     def test_emit_parse_roundtrip(self):
         c = parse_qasm(QASM)

@@ -241,6 +241,27 @@ class TestMapVerify:
                                    "--circuit", str(circ), "--mapped", str(circ)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("comments, layout", [
+        ("", '{"0": 0, "1": 1, "5": 2}'),
+        ("// q[0] -> Q[0]\n// q[5] -> Q[2]\n", None),
+    ])
+    def test_verify_logical_label_beyond_allocation(self, runner, c5_path, tmp_path,
+                                                     comments, layout):
+        circ = tmp_path / "two.qasm"
+        circ.write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n")
+        mapped = tmp_path / "mapped.qasm"
+        mapped.write_text(comments + "OPENQASM 2.0;\nqreg q[3];\ncx q[0], q[2];\n")
+        args = ["verify", "--platform", c5_path, "--circuit", str(circ),
+                "--mapped", str(mapped)]
+        if layout is not None:
+            (tmp_path / "layout.json").write_text(layout)
+            args += ["--layout", str(tmp_path / "layout.json")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        verdict = json.loads(res.output)
+        assert verdict["equivalent"] is False
+        assert any("logical qubit 5" in v["reason"] for v in verdict["violations"])
+
 
 def _write(path, text):
     path.write_text(text)

@@ -11,11 +11,7 @@ from subarchmap import (Circuit, CouplingGraph, Gate, induced_subgraph, is_conne
 from subarchmap.graphs import PlatformError, bits, distances
 from subarchmap.iso import first_in_orbit
 
-from conftest import random_connected_graph, relabel_graph, to_networkx
-
-
-def path_graph(n):
-    return CouplingGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+from conftest import path, random_connected_graph, relabel_graph, to_networkx
 
 
 class TestCouplingGraph:
@@ -31,7 +27,7 @@ class TestCouplingGraph:
             assert [g.vertices[j] for j in bits(g._rows[g._rank[v]])] == from_edges
 
     def test_has_edge_orientation(self):
-        g = path_graph(3)
+        g = path(3)
         assert g.has_edge(1, 0) and g.has_edge(0, 1)
         assert not g.has_edge(0, 2)
         assert not g.has_edge(0, 9) and not g.has_edge(9, 0) and not g.has_edge(9, 9)
@@ -57,11 +53,11 @@ class TestCouplingGraph:
             CouplingGraph([0, 1, 1], [])
 
     def test_immutable_and_hashable(self):
-        g = path_graph(3)
+        g = path(3)
         with pytest.raises(AttributeError):
             g.name = "other"
-        assert g == path_graph(3)
-        assert len({g, path_graph(3)}) == 1
+        assert g == path(3)
+        assert len({g, path(3)}) == 1
         shuffled = CouplingGraph([2, 0, 1], [(2, 1), (1, 0)])
         assert shuffled == g and hash(shuffled) == hash(g)
 
@@ -82,7 +78,7 @@ class TestCouplingGraph:
         a = CouplingGraph(range(3), [(0, 1), (1, 2)])
         b = CouplingGraph(range(3), [(2, 1), (1, 0)])
         assert a.digest() == b.digest()
-        assert a.digest() != path_graph(4).digest()
+        assert a.digest() != path(4).digest()
 
     def test_digest_strings_are_pinned(self):
         # perfbench's tracer keys traced results by these strings
@@ -185,12 +181,12 @@ def test_bfs_matches_networkx():
 def test_is_connected_small_cases():
     assert is_connected(CouplingGraph([], []))
     assert is_connected(CouplingGraph([7], []))
-    assert is_connected(path_graph(5))
+    assert is_connected(path(5))
     assert not is_connected(CouplingGraph(range(3), [(0, 1)]))
 
 
 def test_induced_subgraph_keeps_labels():
-    g = path_graph(5)
+    g = path(5)
     sub = induced_subgraph(g, [1, 2, 4])
     assert sub.vertices == (1, 2, 4)
     assert sub.edges == frozenset({(1, 2)})
@@ -222,7 +218,7 @@ def test_neighbour_rows_follow_sorted_labels():
 
 
 def test_cached_search_data_stays_out_of_equality_and_hash():
-    a, b = path_graph(4), path_graph(4)
+    a, b = path(4), path(4)
     assert subgraph_isomorphic(a, b)
     assert first_in_orbit(a, (0,)) and not first_in_orbit(a, (3,))  # the ends share an orbit
     assert a._plan is not None and b._plan is None

@@ -9,15 +9,7 @@ from subarchmap import (CouplingGraph, is_isomorphic, load_platform, subgraph_is
                         wl_hash)
 from subarchmap.iso import first_in_orbit
 
-from conftest import random_connected_graph, relabel_graph, to_networkx
-
-
-def cycle(n):
-    return CouplingGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return CouplingGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+from conftest import cycle, path, random_connected_graph, relabel_graph, to_networkx
 
 
 class TestIsIsomorphic:

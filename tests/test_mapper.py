@@ -15,16 +15,8 @@ from subarchmap.mapper import OracleLimitError
 from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
 
-from conftest import (CountdownDeadline, make_ring_circuit, random_circuit,
+from conftest import (CountdownDeadline, cycle, make_ring_circuit, path, random_circuit,
                       random_connected_graph, relabel_graph)
-
-
-def path(n):
-    return CouplingGraph(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return CouplingGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestMapOptimal:

@@ -3,22 +3,14 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig, emit_qasm,
+from subarchmap import (Circuit, Gate, StrategyConfig, emit_qasm,
                         load_platform, map_with_subarch, maximal, optimality_certificate)
 from subarchmap.cli import main
 from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
 
-from conftest import (CountdownDeadline, make_ring_circuit, random_circuit,
+from conftest import (CountdownDeadline, cycle, make_ring_circuit, path, random_circuit,
                       random_connected_graph)
-
-
-def cycle(n):
-    return CouplingGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return CouplingGraph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def test_ring_on_five_cycle_without_ancillas():

@@ -8,11 +8,7 @@ from subarchmap import (Allocation, Circuit, CouplingGraph, Gate,
 from subarchmap.circuits import PHYSICAL
 from subarchmap.verify import RELAXED, STRICT, verify_result
 
-from conftest import random_circuit, random_connected_graph
-
-
-def path(n):
-    return CouplingGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+from conftest import path, random_circuit, random_connected_graph
 
 
 class TestFeasibility:
@@ -59,6 +55,13 @@ class TestEquivalence:
         a = Allocation.from_dict({0: 0})
         (idx, reason), = check_equivalence(orig, phys, a)
         assert idx == -1 and "unallocated" in reason
+
+    def test_logical_label_beyond_allocation_reported(self):
+        orig = Circuit(2, (Gate("cx", (0, 1)),))
+        phys = Circuit(3, (Gate("cx", (0, 2)),), PHYSICAL)
+        a = Allocation.from_dict({0: 0, 1: 1, 5: 2})
+        (idx, reason), = check_equivalence(orig, phys, a)
+        assert idx == -1 and "logical qubit 5" in reason
 
     def test_relaxed_vs_strict(self):
         orig = Circuit(3, (Gate("x", (0,)), Gate("x", (2,))))
