@@ -67,20 +67,21 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     completion of the other with the same steps and swaps.
 
     dfs enters only states the heuristic (the longest hop count of a bound
-    pending CX pair, less one) does not cut, as each parent tests its children
-    first. The root binds nothing. A committed gate's child keeps positions
-    and swaps left, with a subset of the pairs. Binding and swap children
-    share one early-exit test, skip at the first bound pending pair more than
-    a limit apart: `remaining + 1` for a binding child, once bound, on the
-    parent's pairs (the child's and at most the gate's own, now 1 apart);
-    `remaining` for a swap child, on the pairs at least `remaining` apart
-    listed before the swap loop, as a swap moves each qubit one step. A
-    skipped child gets no memo entry, as a cut one got none, so the states
-    expanded, in order, the memo and the witness are those of a test on entry.
+    pending CX pair, less one) does not cut and the memo does not prune, as
+    each parent tests its children first. The root binds nothing. A committed
+    gate's child keeps positions and swaps left, with a subset of the pairs.
+    Binding and swap children share one early-exit test, skip at the first
+    bound pending pair more than a limit apart: `remaining + 1` for a binding
+    child, once bound, on the parent's pairs (the child's and at most the
+    gate's own, now 1 apart); `remaining` for a swap child, on the pairs at
+    least `remaining` apart listed before the swap loop, as a swap moves each
+    qubit one step. A cut child gets no memo entry, so the states expanded,
+    in order, the memo and the witness are those of tests on entry.
 
-    The memo, written on entry, prunes a state reached with no more swaps
-    left than recorded. Each entry of a failed dfs is a true failure: else
-    take the one with the fewest-step completion within its swaps, running
+    The memo, written for each state before dfs enters it, prunes a state
+    reached with no more swaps left than recorded (a committed gate's parent
+    then fails). Each entry of a failed dfs is a true failure: else take the
+    one with the fewest-step completion within its swaps, running
     the committed gate first if there is one. Its first step was tried, or is
     a skipped first binding, the image of a tried one whose child then has a
     completion of the same length. The admissible heuristic cannot cut the
@@ -148,11 +149,6 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         return [move for u, v in edges if occ[u] < 0 and occ[v] < 0
                 for move in (((a, u), (b, v)), ((a, v), (b, u)))]
 
-    def swap(u: int, v: int) -> None:
-        """Exchange the contents of u and v; applying it twice undoes it."""
-        occ[u], occ[v] = occ[v], occ[u]
-        pos[occ[u]], pos[occ[v]] = u, v
-
     def dfs(done: int, remaining: int, last_edge: tuple[int, int] | None,
             memo: dict) -> bool:
         if deadline is not None:
@@ -165,10 +161,6 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                               tuple(dict.fromkeys(tuple(sorted(gates[i].qubits))
                                                   for i in left if gates[i].name == "cx")))
         ready, pairs = frontier[done]
-        key = (done, *occ)
-        if memo.get(key, -1) >= remaining:
-            return False
-        memo[key] = remaining
 
         unbound = []
         for i in ready:
@@ -180,6 +172,9 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             # to the front of any completion without changing the swap count, so
             # commit to it and branch nowhere else.
             if len(phys) == 1 or dist[phys[0] * k + phys[1]] == 1:
+                if memo.get(key := (done | 1 << i, *occ), -1) >= remaining:
+                    return False
+                memo[key] = remaining
                 ops.append((i, phys))
                 if dfs(done | 1 << i, remaining, None, memo):
                     return True
@@ -197,10 +192,12 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     if pos[a] >= 0 and pos[b] >= 0 and dist[pos[a] * k + pos[b]] > remaining + 1:
                         break
                 else:
-                    ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
-                    if dfs(done | 1 << i, remaining, None, memo):
-                        return True
-                    ops.pop()
+                    if memo.get(key := (done | 1 << i, *occ), -1) < remaining:
+                        memo[key] = remaining
+                        ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
+                        if dfs(done | 1 << i, remaining, None, memo):
+                            return True
+                        ops.pop()
                 for q, p in new:
                     pos[q] = occ[p] = -1
 
@@ -208,30 +205,37 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             # the only pairs a swap can carry past the child's cut
             tight = [(a, b) for a, b in pairs if pos[a] >= 0 and pos[b] >= 0
                      and dist[pos[a] * k + pos[b]] >= remaining]
-            for u, v in edges:
-                if (u, v) == last_edge or occ[u] == occ[v]:
+            for edge in edges:
+                u, v = edge
+                x, y = occ[u], occ[v]
+                if edge is last_edge or x == y:
                     continue  # an undo the memo would prune, or a no-op (both free)
-                swap(u, v)
+                occ[u], occ[v] = y, x
+                pos[y], pos[x] = u, v
                 for a, b in tight:
                     if dist[pos[a] * k + pos[b]] > remaining:
                         break
                 else:
-                    ops.append((None, (u, v)))
-                    if dfs(done, remaining - 1, (u, v), memo):
-                        return True
-                    ops.pop()
-                swap(u, v)
+                    if memo.get(key := (done, *occ), -1) < remaining - 1:
+                        memo[key] = remaining - 1
+                        ops.append((None, edge))
+                        if dfs(done, remaining - 1, edge, memo):
+                            return True
+                        ops.pop()
+                occ[u], occ[v] = x, y
+                pos[x], pos[y] = u, v
         return False
 
     try:
         if bound is not None:
-            if not dfs(0, bound, None, {}):
+            if not dfs(0, bound, None, {(0, *occ): bound}):
                 return None
             ops.clear()  # a failed dfs leaves these empty, a successful one does not
             pos[:] = [-1] * len(pos)
             occ[:] = [-1] * k
         memo: dict = {}  # the probe's memo holds its own path, which is no failure
         for limit in itertools.count() if bound is None else range(bound + 1):
+            memo[(0, *occ)] = limit
             if dfs(0, limit, None, memo):
                 return _build_result(c, g, ops, limit)
         return None

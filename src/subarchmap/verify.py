@@ -49,7 +49,13 @@ def check_feasibility(mapped: Circuit, g: CouplingGraph) -> list[tuple[int, str]
 
 def check_equivalence(original: Circuit, mapped: Circuit, a: Allocation,
                       mode: str = STRICT) -> list[tuple[int, str]]:
-    """Violations if unmapping the physical circuit does not recover the input."""
+    """Violations if the layout is not for the input's qubits or unmapping
+    the physical circuit does not recover the input."""
+    logical, wanted = {q for q, _ in a.forward}, set(range(original.n_qubits))
+    if logical != wanted:
+        return ([(-1, f"layout lacks logical qubit {q}") for q in sorted(wanted - logical)]
+                + [(-1, f"layout has logical qubit {q}, not in the input")
+                   for q in sorted(logical - wanted)])
     try:
         recovered = unmap(mapped, a)
     except UnmapError as exc:

@@ -262,6 +262,30 @@ class TestMapVerify:
         assert verdict["equivalent"] is False
         assert any("logical qubit 5" in v["reason"] for v in verdict["violations"])
 
+    @pytest.mark.parametrize("comments, layout", [
+        ("", '{"0": 0, "1": 1, "5": 2}'),
+        ("// q[0] -> Q[0]\n// q[1] -> Q[1]\n// q[5] -> Q[2]\n", None),
+    ])
+    def test_verify_layout_for_other_qubits(self, runner, c5_path, tmp_path,
+                                            comments, layout):
+        # No gate touches logical qubit 2 or 5, so unmapping alone finds nothing.
+        text = "OPENQASM 2.0;\nqreg q[3];\ncx q[0], q[1];\n"
+        circ, mapped = tmp_path / "three.qasm", tmp_path / "mapped.qasm"
+        circ.write_text(text)
+        mapped.write_text(comments + text)
+        args = ["verify", "--platform", c5_path, "--circuit", str(circ),
+                "--mapped", str(mapped)]
+        if layout is not None:
+            (tmp_path / "layout.json").write_text(layout)
+            args += ["--layout", str(tmp_path / "layout.json")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        verdict = json.loads(res.output)
+        assert verdict["feasible"] is True and verdict["equivalent"] is False
+        reasons = [v["reason"] for v in verdict["violations"]]
+        assert len(reasons) == 2
+        assert "logical qubit 2" in reasons[0] and "logical qubit 5" in reasons[1]
+
 
 def _write(path, text):
     path.write_text(text)

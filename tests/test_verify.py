@@ -6,6 +6,7 @@ from subarchmap import (Allocation, Circuit, CouplingGraph, Gate,
                         check_equivalence, check_feasibility, induced_subgraph,
                         is_connected, map_optimal)
 from subarchmap.circuits import PHYSICAL
+from subarchmap.mapper import MapResult
 from subarchmap.verify import RELAXED, STRICT, verify_result
 
 from conftest import path, random_circuit, random_connected_graph
@@ -62,6 +63,21 @@ class TestEquivalence:
         a = Allocation.from_dict({0: 0, 1: 1, 5: 2})
         (idx, reason), = check_equivalence(orig, phys, a)
         assert idx == -1 and "logical qubit 5" in reason
+
+    def test_layout_must_place_exactly_the_inputs_qubits(self):
+        orig = Circuit(3, (Gate("cx", (0, 1)),))
+        phys = Circuit(3, (Gate("cx", (0, 1)),), PHYSICAL)
+        assert check_equivalence(orig, phys, Allocation.from_dict({0: 0, 1: 1, 2: 2})) == []
+        (_, missing), (_, foreign) = check_equivalence(
+            orig, phys, Allocation.from_dict({0: 0, 1: 1, 5: 2}))
+        assert "lacks logical qubit 2" in missing and "logical qubit 5" in foreign
+        (idx, reason), = check_equivalence(orig, phys, Allocation.from_dict({0: 0, 1: 1}))
+        assert idx == -1 and "lacks logical qubit 2" in reason
+        (idx, reason), = check_equivalence(
+            orig, phys, Allocation.from_dict({0: 0, 1: 1, 2: 2, 3: 3}))
+        assert idx == -1 and "logical qubit 3" in reason
+        r = MapResult(phys, Allocation.from_dict({0: 0, 1: 1, 5: 2}), 0, path(3))
+        assert not verify_result(orig, r, path(3)).equivalent
 
     def test_relaxed_vs_strict(self):
         orig = Circuit(3, (Gate("x", (0,)), Gate("x", (2,))))
