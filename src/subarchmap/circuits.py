@@ -170,7 +170,10 @@ def parse_qasm(text: str, space: str = LOGICAL) -> Circuit:
             om = _OPERAND_RE.match(arg.strip())
             if not om or om.group(1) != reg_name:
                 raise QasmError(f"bad operand {arg.strip()!r} in {stmt!r}")
-            operands.append(int(om.group(2)))
+            if (q := int(om.group(2))) >= n_qubits:
+                raise QasmError(f"operand {arg.strip()!r} is beyond qreg {reg_name}[{n_qubits}] "
+                                f"in {stmt!r}")
+            operands.append(q)
         if len(operands) > 2:
             raise QasmError(f"gates of arity >= 3 are unsupported: {stmt!r}")
         if name in ("cx", "swap") and len(operands) != 2:

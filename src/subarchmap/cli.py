@@ -229,7 +229,7 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
         raise click.BadParameter(str(exc), param_hint="--layout")
     if alloc is None:
         raise click.UsageError("no layout comments in mapped file; pass --layout FILE")
-    feas = check_feasibility(mapped, g)
+    feas = check_feasibility(mapped, g, alloc)
     equiv = check_equivalence(original, mapped, alloc, mode)
     verdict = make_verdict(mapped, feas, equiv, mode)
     click.echo(json.dumps(verdict.to_dict()))

@@ -25,14 +25,12 @@ class CouplingGraph:
     `vertices`. `vertices` is sorted, so ascending bits are ascending labels and
     equal rows are equal edge sets. The rows are the only adjacency structure:
     `edges` is built from them on each read, and `num_vertices` and `num_edges`
-    are counted at construction. The isomorphism module caches its search plan,
-    degree masks and automorphism-orbit decisions in `_plan`, `_at_least` and
-    `_orbits` on first use, and the mapper its hop table, neighbour lists and
-    edge list in `_hops`. None of it enters equality, hashing, copies or pickles.
+    are counted at construction. `_derived` starts empty: other modules keep
+    what they derive from the graph there, each under its own key. It enters
+    no equality, hashing, copies or pickles.
     """
 
-    __slots__ = ("name", "vertices", "num_vertices", "num_edges", "_rank", "_rows", "_plan",
-                 "_at_least", "_orbits", "_hops")
+    __slots__ = ("name", "vertices", "num_vertices", "num_edges", "_rank", "_rows", "_derived")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                  name: str = ""):
@@ -54,10 +52,7 @@ class CouplingGraph:
         object.__setattr__(self, "num_edges", sum(r.bit_count() for r in rows) // 2)
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_plan", None)
-        object.__setattr__(self, "_at_least", None)
-        object.__setattr__(self, "_orbits", None)
-        object.__setattr__(self, "_hops", None)
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, key, value):
         raise AttributeError("CouplingGraph is immutable")

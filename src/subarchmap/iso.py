@@ -106,7 +106,7 @@ def first_in_orbit(g: CouplingGraph, key: tuple[int, ...]) -> bool:
     (u0, v0) onto (u, v) when it maps u0 to u and v0 to v; keys of unequal
     length never meet. The first key met of each orbit is kept, so a caller
     must meet the keys of g in one fixed order. The first key of each length
-    is kept with no work, and every decision is cached on g in `_orbits`.
+    is kept with no work, and every decision is cached in `g._derived`.
 
     Individualise and refine (McKay & Piperno, J. Symb. Comput. 2014), once
     per key: see _refine. Refinement commutes with automorphisms, so one
@@ -116,9 +116,9 @@ def first_in_orbit(g: CouplingGraph, key: tuple[int, ...]) -> bool:
     decides, with those classes as candidate masks. The whole group is never
     enumerated.
     """
-    if g._orbits is None:
-        object.__setattr__(g, "_orbits", ({}, {}))
-    decided, kept = g._orbits  # key -> verdict; length -> {kept key: its refinement}
+    if (orbits := g._derived.get("orbits")) is None:
+        orbits = g._derived["orbits"] = ({}, {})
+    decided, kept = orbits  # key -> verdict; length -> {kept key: its refinement}
     if key not in decided:
         earlier = kept.setdefault(len(key), {})
         mine = None  # the first key is refined only when a later key needs it
@@ -184,7 +184,7 @@ def _plan(pattern: CouplingGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     Place next a vertex touching an already-placed one when there is one, so
     anchored vertices prune hard; highest degree first, then lowest label.
     """
-    if pattern._plan is None:
+    if (plan := pattern._derived.get("plan")) is None:
         rows = pattern._rows
         degree = [r.bit_count() for r in rows]
         step_of: dict[int, int] = {}
@@ -199,19 +199,19 @@ def _plan(pattern: CouplingGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
             step_of[v] = len(steps)
             steps.append((degree[v], back))
             placed |= 1 << v
-        object.__setattr__(pattern, "_plan", tuple(steps))
-    return pattern._plan
+        plan = pattern._derived["plan"] = tuple(steps)
+    return plan
 
 
 def _at_least(host: CouplingGraph) -> tuple[int, ...]:
     """Host degree masks, built once per graph: entry d has the bit of every
     vertex of degree d or more. There is one entry per vertex count, so any
     pattern no larger than the host can index it."""
-    if host._at_least is None:
+    if (at_least := host._derived.get("at_least")) is None:
         masks = [0] * host.num_vertices
         for i, r in enumerate(host._rows):
             masks[r.bit_count()] |= 1 << i
         for d in range(len(masks) - 2, -1, -1):
             masks[d] |= masks[d + 1]
-        object.__setattr__(host, "_at_least", tuple(masks))
-    return host._at_least
+        at_least = host._derived["at_least"] = tuple(masks)
+    return at_least

@@ -52,12 +52,12 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     The state is flat and indexed by vertex rank in g.vertices: pos (per
     logical qubit) and occ (per rank) are lists with -1 for none, the memo
-    key is (done, *occ), and hop counts sit in one k*k tuple kept on g. Each
-    mask of executed gates gets, on its first visit, a tuple of its ready
-    gates and one of its pending CX pairs, each unordered pair once, which
-    the heuristic reads. g.vertices is sorted, so rank order is label order:
-    every loop tries its candidates in label order, and the nodes visited and
-    the witness depend on the labels only through their order.
+    key is (done, *occ), and hop counts sit in one k*k tuple kept in
+    g._derived. Each mask of executed gates gets, on its first visit, a tuple
+    of its ready gates and one of its pending CX pairs, each unordered pair
+    once. g.vertices is sorted, so rank order is label order: every loop
+    tries its candidates in label order, and the nodes visited and the
+    witness depend on the labels only through their order.
 
     At the empty placement (done == 0, nothing bound) a binding is skipped
     when an automorphism of g carries a binding already tried for the same
@@ -80,19 +80,19 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     The memo, written for each state before dfs enters it, prunes a state
     reached with no more swaps left than recorded (a committed gate's parent
-    then fails). Each entry of a failed dfs is a true failure: else take the
-    one with the fewest-step completion within its swaps, running
-    the committed gate first if there is one. Its first step was tried, or is
-    a skipped first binding, the image of a tried one whose child then has a
-    completion of the same length. The admissible heuristic cannot cut the
-    tried step, so the child, or for the skipped undo of the last swap
-    (last_edge) the parent, holds an entry with a shorter completion. So one
-    memo serves every deepening limit, and dfs(0, B) fails only if no mapping
-    has at most B swaps. At the first limit that succeeds no witness revisits
-    a state, as cutting out the loop would save swaps, so the first witness
-    is never pruned, whatever earlier limits stored. Bindings of one orbit
-    succeed or fail together, so the first that succeeds is first in its
-    orbit, and skipping changes no witness.
+    then fails), as after undoing a swap. The root needs no entry: no
+    child of it has done == 0. Each entry of a failed dfs is a true failure:
+    else take the one with the fewest-step completion within its swaps,
+    running the committed gate first if there is one. Its first step was
+    tried, or is a skipped first binding, the image of a tried one whose
+    child then has a completion of the same length. The admissible heuristic
+    cannot cut the tried step, so the child holds an entry with a shorter
+    completion. So one memo serves every deepening limit, and dfs(0, B)
+    fails only if no mapping has at most B swaps. At the first limit that
+    succeeds no witness revisits a state, as cutting out the loop would save
+    swaps, so the first witness is never pruned, whatever earlier limits
+    stored. Bindings of one orbit succeed or fail together, so the first that
+    succeeds is first in its orbit, and skipping changes no witness.
 
     A bounded call first runs dfs(0, bound) alone, the one limit that decides
     most of them; after a success the limits deepen from 0, so the witness is
@@ -105,14 +105,14 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     gates = c.gates
     m = len(gates)
     k = g.num_vertices
-    if g._hops is None:  # built once per graph object, which only a connected g gets
+    if (hops := g._derived.get("hops")) is None:  # once per graph, which must be connected
         if not is_connected(g):
             raise ValueError("coupling graph must be connected")
         nbrs = tuple(bits(row) for row in g._rows)
-        object.__setattr__(g, "_hops", (
+        hops = g._derived["hops"] = (
             tuple(row[w] for row in (distances(g, v) for v in g.vertices) for w in g.vertices),
-            nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s)))
-    dist, nbrs, edges = g._hops
+            nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s))
+    dist, nbrs, edges = hops
 
     # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits
     # only for the previous gate on each of its qubits; strict order is the
@@ -131,6 +131,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     frontier: dict[int, tuple] = {}  # done -> (ready gates, distinct pending CX pairs)
 
     ops: list[tuple] = []
+    memo: dict[tuple, int] = {}  # state -> most swaps left it was entered with
     # pos: the rank of each logical qubit, -1 while unbound, and one spare
     # last slot that takes the writes made through a free rank's -1.
     pos = [-1] * (c.n_qubits + 1)
@@ -149,8 +150,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         return [move for u, v in edges if occ[u] < 0 and occ[v] < 0
                 for move in (((a, u), (b, v)), ((a, v), (b, u)))]
 
-    def dfs(done: int, remaining: int, last_edge: tuple[int, int] | None,
-            memo: dict) -> bool:
+    def dfs(done: int, remaining: int) -> bool:
         if deadline is not None:
             deadline.check()
         if done == full_mask:
@@ -176,7 +176,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     return False
                 memo[key] = remaining
                 ops.append((i, phys))
-                if dfs(done | 1 << i, remaining, None, memo):
+                if dfs(done | 1 << i, remaining):
                     return True
                 ops.pop()
                 return False
@@ -195,7 +195,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     if memo.get(key := (done | 1 << i, *occ), -1) < remaining:
                         memo[key] = remaining
                         ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
-                        if dfs(done | 1 << i, remaining, None, memo):
+                        if dfs(done | 1 << i, remaining):
                             return True
                         ops.pop()
                 for q, p in new:
@@ -208,8 +208,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             for edge in edges:
                 u, v = edge
                 x, y = occ[u], occ[v]
-                if edge is last_edge or x == y:
-                    continue  # an undo the memo would prune, or a no-op (both free)
+                if x == y:
+                    continue  # both free: a no-op
                 occ[u], occ[v] = y, x
                 pos[y], pos[x] = u, v
                 for a, b in tight:
@@ -219,7 +219,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     if memo.get(key := (done, *occ), -1) < remaining - 1:
                         memo[key] = remaining - 1
                         ops.append((None, edge))
-                        if dfs(done, remaining - 1, edge, memo):
+                        if dfs(done, remaining - 1):
                             return True
                         ops.pop()
                 occ[u], occ[v] = x, y
@@ -228,15 +228,14 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     try:
         if bound is not None:
-            if not dfs(0, bound, None, {(0, *occ): bound}):
+            if not dfs(0, bound):
                 return None
             ops.clear()  # a failed dfs leaves these empty, a successful one does not
+            memo.clear()  # the probe's entries hold its own path, which is no failure
             pos[:] = [-1] * len(pos)
             occ[:] = [-1] * k
-        memo: dict = {}  # the probe's memo holds its own path, which is no failure
         for limit in itertools.count() if bound is None else range(bound + 1):
-            memo[(0, *occ)] = limit
-            if dfs(0, limit, None, memo):
+            if dfs(0, limit):
                 return _build_result(c, g, ops, limit)
         return None
     finally:

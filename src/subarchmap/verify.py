@@ -35,10 +35,13 @@ class Verdict:
                 "violations": [{"gate": i, "reason": r} for i, r in self.violations]}
 
 
-def check_feasibility(mapped: Circuit, g: CouplingGraph) -> list[tuple[int, str]]:
-    """Violations for every cx/swap whose operands are not a coupling edge."""
-    violations = []
+def check_feasibility(mapped: Circuit, g: CouplingGraph,
+                      layout: Allocation) -> list[tuple[int, str]]:
+    """Violations for every layout entry or gate on a qubit off the platform
+    (a layout entry's gate is -1) and every cx/swap off a coupling edge."""
     vset = set(g.vertices)
+    violations = [(-1, f"layout puts logical qubit {q} on non-platform qubit {p}")
+                  for q, p in layout.forward if p not in vset]
     for i, gate in enumerate(mapped.gates):
         if not set(gate.qubits) <= vset:
             violations.append((i, f"{gate.name} on non-platform qubit(s) {gate.qubits}"))
@@ -75,6 +78,6 @@ def make_verdict(mapped: Circuit, feas: list[tuple[int, str]],
 def verify_result(original: Circuit, result: MapResult, g: CouplingGraph,
                   mode: str = STRICT) -> Verdict:
     """Full verdict for a mapping result against a target coupling graph."""
-    feas = check_feasibility(result.mapped, g)
+    feas = check_feasibility(result.mapped, g, result.initial)
     equiv = check_equivalence(original, result.mapped, result.initial, mode)
     return make_verdict(result.mapped, feas, equiv, mode)

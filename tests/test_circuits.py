@@ -1,10 +1,11 @@
 import random
+import re
 from collections import deque
 
 import pytest
 
 from subarchmap import Allocation, Circuit, Gate, circuits_equal, unmap
-from subarchmap.circuits import (PHYSICAL, QasmError, UnmapError, emit_qasm,
+from subarchmap.circuits import (LOGICAL, PHYSICAL, QasmError, UnmapError, emit_qasm,
                                  parse_layout_comments, parse_qasm)
 
 
@@ -120,6 +121,12 @@ class TestQasm:
     def test_rejects_arity_three(self):
         with pytest.raises(QasmError, match="arity"):
             parse_qasm("qreg q[3]; ccx q[0], q[1], q[2];")
+
+    @pytest.mark.parametrize("space", [LOGICAL, PHYSICAL])
+    @pytest.mark.parametrize("stmt", ["h q[2];", "cx q[0], q[2];", "cx q[5], q[1];"])
+    def test_rejects_operand_beyond_the_register(self, space, stmt):
+        with pytest.raises(QasmError, match=re.escape(f"beyond qreg q[2] in {stmt[:-1]!r}")):
+            parse_qasm(f"qreg q[2]; {stmt}", space)
 
     def test_gate_before_qreg(self):
         with pytest.raises(QasmError, match="before qreg"):

@@ -286,6 +286,28 @@ class TestMapVerify:
         assert len(reasons) == 2
         assert "logical qubit 2" in reasons[0] and "logical qubit 5" in reasons[1]
 
+    @pytest.mark.parametrize("comments, layout", [
+        ("// q[0] -> Q[0]\n// q[1] -> Q[1]\n// q[2] -> Q[99]\n", None),
+        ("", '{"0": 0, "1": 1, "2": 99}'),
+    ])
+    def test_verify_layout_off_the_platform(self, runner, tmp_path, comments, layout):
+        # Logical qubit 2 is idle, so only its layout entry shows where it went.
+        circ, mapped = tmp_path / "three.qasm", tmp_path / "mapped.qasm"
+        circ.write_text("OPENQASM 2.0;\nqreg q[3];\ncx q[0], q[1];\n")
+        mapped.write_text(comments + "OPENQASM 2.0;\nqreg q[100];\ncx q[0], q[1];\n")
+        args = ["verify", "--platform", "guadalupe", "--circuit", str(circ),
+                "--mapped", str(mapped)]
+        if layout is not None:
+            (tmp_path / "layout.json").write_text(layout)
+            args += ["--layout", str(tmp_path / "layout.json")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        verdict = json.loads(res.output)
+        assert verdict["feasible"] is False and verdict["equivalent"] is True
+        (violation,) = verdict["violations"]
+        assert violation["gate"] == -1
+        assert "logical qubit 2" in violation["reason"] and "99" in violation["reason"]
+
 
 def _write(path, text):
     path.write_text(text)
@@ -350,6 +372,13 @@ MALFORMED = {
     "circuit-larger-than-platform": lambda t: [
         "map", "--platform", "guadalupe", "--circuit",
         _qasm_file(t, "cx q[0],q[19];", n=20)],
+    "circuit-operand-beyond-qreg": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[2];")],
+    "mapped-operand-beyond-qreg": lambda t: [
+        "verify", "--platform", "guadalupe",
+        "--circuit", _qasm_file(t, "cx q[0],q[1];"),
+        "--mapped", _write(t / "mapped.qasm", "// q[0] -> Q[0]\n// q[1] -> Q[1]\n"
+                           "qreg q[1];\ncx q[0],q[1];\n")],
     "circuit-without-qubits": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "", n=0)],
     "disconnected-platform-subarch": lambda t: [

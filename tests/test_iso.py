@@ -237,7 +237,7 @@ class TestFirstInOrbit:
         keys = root_keys(g)
         firsts = [first_in_orbit(g, key) for key in keys]
         assert firsts.count(True) == 2  # one arc orbit and one vertex orbit
-        decided, _ = g._orbits
+        decided, _ = g._derived["orbits"]
         assert [decided[key] for key in keys] == firsts
         assert [first_in_orbit(g, key) for key in reversed(keys)] == firsts[::-1]
 
