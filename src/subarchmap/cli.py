@@ -151,10 +151,7 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path
     if full_architecture and ancillas is not None:
         raise click.UsageError("--ancillas needs subarchitectures, not --full-architecture")
     g = _load(platform, connected=True)
-    _, circ = _parse(circuit_path, "--circuit")
-    if not 1 <= circ.n_qubits <= g.num_vertices:
-        raise click.BadParameter(f"circuit has {circ.n_qubits} qubits, platform "
-                                 f"has {g.num_vertices}", param_hint="--circuit")
+    circ = _parse_circuit(circuit_path, g)
     if ancillas == "until-full":
         max_anc = None
     else:
@@ -212,7 +209,7 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path
 def verify(platform, circuit_path, mapped_path, layout, mode):
     """Check feasibility and equivalence of a mapped circuit. Exit 0/1."""
     g = _load(platform)
-    _, original = _parse(circuit_path, "--circuit")
+    original = _parse_circuit(circuit_path, g)
     mapped_text, mapped = _parse(mapped_path, "--mapped", PHYSICAL)
     try:
         if layout == "auto":
@@ -302,6 +299,14 @@ def _parse(path: str, option: str, space: str = LOGICAL) -> tuple[str, Circuit]:
         return text, parse_qasm(text, space=space)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise click.BadParameter(str(exc), param_hint=option)
+
+
+def _parse_circuit(path: str, g: CouplingGraph) -> Circuit:
+    _, circ = _parse(path, "--circuit")
+    if not 1 <= circ.n_qubits <= g.num_vertices:
+        raise click.BadParameter(f"circuit has {circ.n_qubits} qubits, platform "
+                                 f"has {g.num_vertices}", param_hint="--circuit")
+    return circ
 
 
 if __name__ == "__main__":

@@ -148,23 +148,27 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def distances(g: CouplingGraph, source: int) -> dict[int, int]:
-    """Hop distance from `source` to every vertex reachable from it, by BFS."""
-    rows, vs = g._rows, g.vertices
-    queue = [g._rank[source]]
-    dist, seen = {source: 0}, 1 << queue[0]
-    for i in queue:  # appended to while iterated: a FIFO queue
+def bfs(g: CouplingGraph, sources: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Breadth-first search from the vertex ranks `sources`, neighbours in rank
+    order: the ranks reached, in visit order, and each rank's hop distance
+    from the sources, -1 where it is unreachable."""
+    rows = g._rows
+    order, dist, seen = list(sources), [-1] * len(rows), 0
+    for i in order:
+        dist[i] = 0
+        seen |= 1 << i
+    for i in order:  # appended to while iterated: a FIFO queue
         fresh = rows[i] & ~seen
         seen |= fresh
         for j in bits(fresh):
-            dist[vs[j]] = dist[vs[i]] + 1
-            queue.append(j)
-    return dist
+            dist[j] = dist[i] + 1
+            order.append(j)
+    return order, dist
 
 
 def is_connected(g: CouplingGraph) -> bool:
     """True iff every vertex pair is joined by a path. Empty and singleton graphs count."""
-    return g.num_vertices <= 1 or len(distances(g, g.vertices[0])) == g.num_vertices
+    return g.num_vertices <= 1 or len(bfs(g, [0])[0]) == g.num_vertices
 
 
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:

@@ -21,7 +21,7 @@ step's candidates from its class. Its decisions are cached on the graph too.
 
 from __future__ import annotations
 
-from .graphs import CouplingGraph, bits
+from .graphs import CouplingGraph, bfs, bits
 
 
 def wl_hash(g: CouplingGraph) -> int:
@@ -145,8 +145,8 @@ def _refine(g: CouplingGraph, key: tuple[int, ...]):
     round names a vertex's class by its rank among the sorted distinct pairs
     (its class, the sorted classes of its neighbours), until no class splits.
     The names depend only on the refinement, never on ranks, which makes
-    them canonical. The plan places key's vertices first, then the rest
-    breadth-first, each step drawing from its vertex's class.
+    them canonical. The plan follows bfs from key's vertices, then the
+    unreached ranks, each step drawing from its vertex's class.
     """
     nbrs = list(map(bits, g._rows))
     colours = [len(key)] * len(nbrs)
@@ -165,12 +165,8 @@ def _refine(g: CouplingGraph, key: tuple[int, ...]):
     for v, c in enumerate(colours):
         sizes[c] += 1
         masks[c] |= 1 << v
-    order, placed = list(key), set(key)
-    for v in order:  # the loop reads what it appends: breadth-first
-        fresh = [w for w in nbrs[v] if w not in placed]
-        order += fresh
-        placed.update(fresh)
-    order += [v for v in range(len(nbrs)) if v not in placed]  # other components
+    order, dist = bfs(g, key)
+    order += [v for v, d in enumerate(dist) if d < 0]  # other components
     step_of = {v: i for i, v in enumerate(order)}
     steps = tuple((colours[v], tuple(step_of[w] for w in nbrs[v] if step_of[w] < i))
                   for i, v in enumerate(order))

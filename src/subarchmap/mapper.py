@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuits import PHYSICAL, Allocation, Circuit, Gate
-from .graphs import CouplingGraph, bits, distances, is_connected
+from .graphs import CouplingGraph, bfs, bits
 from .iso import first_in_orbit
 from .maximal import Deadline
 
@@ -105,13 +105,13 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     gates = c.gates
     m = len(gates)
     k = g.num_vertices
-    if (hops := g._derived.get("hops")) is None:  # once per graph, which must be connected
-        if not is_connected(g):
+    if (hops := g._derived.get("hops")) is None:  # once per graph
+        dist = tuple(d for r in range(k) for d in bfs(g, [r])[1])
+        if -1 in dist:
             raise ValueError("coupling graph must be connected")
         nbrs = tuple(bits(row) for row in g._rows)
         hops = g._derived["hops"] = (
-            tuple(row[w] for row in (distances(g, v) for v in g.vertices) for w in g.vertices),
-            nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s))
+            dist, nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s))
     dist, nbrs, edges = hops
 
     # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits
@@ -234,10 +234,9 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             memo.clear()  # the probe's entries hold its own path, which is no failure
             pos[:] = [-1] * len(pos)
             occ[:] = [-1] * k
-        for limit in itertools.count() if bound is None else range(bound + 1):
+        for limit in itertools.count():  # ends by limit == bound after a probe succeeds
             if dfs(0, limit):
                 return _build_result(c, g, ops, limit)
-        return None
     finally:
         del dfs  # it holds itself through its cell, and with it the search state
 

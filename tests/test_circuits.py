@@ -128,6 +128,14 @@ class TestQasm:
         with pytest.raises(QasmError, match=re.escape(f"beyond qreg q[2] in {stmt[:-1]!r}")):
             parse_qasm(f"qreg q[2]; {stmt}", space)
 
+    @pytest.mark.parametrize("text, message", [
+        ("qreg q[2]; cx q[0];", "cx needs two operands"),
+        ("OPENQASM 2.0;", "no qreg declaration"),
+    ])
+    def test_rejects_a_missing_operand_or_register(self, text, message):
+        with pytest.raises(QasmError, match=message):
+            parse_qasm(text)
+
     def test_gate_before_qreg(self):
         with pytest.raises(QasmError, match="before qreg"):
             parse_qasm("h q[0]; qreg q[1];")
@@ -173,6 +181,11 @@ class TestEquivalence:
         a = Circuit(2, (Gate("x", (0,)), Gate("cx", (0, 1))))
         b = Circuit(2, (Gate("cx", (0, 1)), Gate("x", (0,))))
         assert not circuits_equal(a, b, "relaxed")
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_unequal_registers_differ(self, mode):
+        gates = (Gate("x", (0,)),)
+        assert not circuits_equal(Circuit(1, gates), Circuit(2, gates), mode)
 
     def test_unknown_mode(self):
         c = Circuit(1, ())

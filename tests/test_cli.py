@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from subarchmap import maximal
+from subarchmap import load_platform, maximal
 from subarchmap.cli import main
 
 RING_QASM = """OPENQASM 2.0;
@@ -67,6 +67,15 @@ class TestSubarch:
         assert option in res.output
         assert not (tmp_path / "d").exists()
 
+    def test_connected_stage_lists_each_subset(self, runner):
+        res = runner.invoke(main, ["subarch", "--platform", "guadalupe", "--size", "2",
+                                   "--stage", "connected", "--list"])
+        assert res.exit_code == 0, res.output
+        *subsets, count = res.output.splitlines()
+        assert count == "connected: 16"
+        assert {tuple(map(int, line.split())) for line in subsets} \
+            == load_platform("guadalupe").edges and len(subsets) == 16
+
     def test_list_members(self, runner, c5_path):
         res = runner.invoke(main, ["subarch", "--platform", c5_path,
                                    "--size", "4", "--list"])
@@ -114,6 +123,13 @@ class TestMapVerify:
         assert summary["gate_equivalent"] == 3
         text = out.read_text()
         assert "// q[0] -> Q[" in text and "swap" in text
+
+    def test_map_without_out_prints_qasm_and_summary_apart(self, runner, c5_path, ring_path):
+        res = runner.invoke(main, ["map", "--platform", c5_path,
+                                   "--circuit", ring_path, "--ancillas", "1"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stderr)["swaps"] == 1
+        assert res.stdout.startswith("// q[0] -> Q[") and "swap" in res.stdout
 
     def test_map_report_document(self, runner, c5_path, ring_path, tmp_path):
         out = tmp_path / "mapped.qasm"
@@ -166,6 +182,17 @@ class TestMapVerify:
             runs.append((res.output, out.read_bytes(), rep.read_bytes()))
         assert runs[0] == runs[1]
         assert json.loads(runs[0][2])["certificate"]["ancilla_budget"] == 2
+
+    def test_map_ancillas_until_full(self, runner, tmp_path):
+        circuit = _qasm_file(tmp_path, "cx q[0],q[1];\ncx q[1],q[2];\ncx q[0],q[2];", n=3)
+        rep = tmp_path / "report.json"
+        res = runner.invoke(main, ["map", "--platform", "guadalupe", "--circuit", circuit,
+                                   "--ancillas", "until-full", "--report", str(rep),
+                                   "--out", str(tmp_path / "mapped.qasm")])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(rep.read_text())
+        assert doc["certificate"]["ancilla_budget"] == "unbounded"
+        assert (len(doc["outcomes"]), doc["map_calls"]) == (91, 2)
 
     @pytest.mark.parametrize("full", [[], ["--full-architecture"]])
     def test_map_budget_expiry(self, runner, c5_path, ring_path, tmp_path, full):
@@ -372,6 +399,11 @@ MALFORMED = {
     "circuit-larger-than-platform": lambda t: [
         "map", "--platform", "guadalupe", "--circuit",
         _qasm_file(t, "cx q[0],q[19];", n=20)],
+    "circuit-larger-than-platform-verify": lambda t: [
+        "verify", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[19];", n=20),
+        "--mapped", _write(t / "mapped.qasm", "OPENQASM 2.0;\n// q[0] -> Q[0]\n"
+                           "// q[1] -> Q[1]\nqreg q[2];\ncx q[0],q[1];\n")],
     "circuit-operand-beyond-qreg": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "cx q[0],q[2];")],
     "mapped-operand-beyond-qreg": lambda t: [
@@ -381,6 +413,10 @@ MALFORMED = {
                            "qreg q[1];\ncx q[0],q[1];\n")],
     "circuit-without-qubits": lambda t: [
         "map", "--platform", "guadalupe", "--circuit", _qasm_file(t, "", n=0)],
+    "circuit-without-qubits-verify": lambda t: [
+        "verify", "--platform", "guadalupe", "--circuit", _qasm_file(t, "", n=0),
+        "--mapped", _write(t / "mapped.qasm", "OPENQASM 2.0;\nqreg q[2];\n"),
+        "--layout", _write(t / "layout.json", "{}")],
     "disconnected-platform-subarch": lambda t: [
         "subarch", "--platform", _two_triangles(t), "--size", "3"],
     "disconnected-platform-map": lambda t: [
@@ -557,6 +593,15 @@ class TestBench:
         res = runner.invoke(main, ["bench", "--manifest", str(manifest)])
         assert res.exit_code == 1
         assert "nowhere" in res.output
+
+    def test_table_is_followed_by_the_error_rows(self, runner, tmp_path):
+        manifest = _write(tmp_path / "m.json", json.dumps(
+            [{"platform": "nope", "k": 2}, {"platform": "guadalupe", "k": 2}]))
+        res = runner.invoke(main, ["bench", "--manifest", manifest])
+        assert res.exit_code == 1, res.output
+        header, row, error = res.output.splitlines()
+        assert header.startswith("Platform") and row.startswith("guadalupe")
+        assert error.startswith("nope k=2: unknown platform")
 
     def test_manifest_platform_path_without_suffix_is_an_error_row(self, runner, tmp_path):
         platform = _other_platform(tmp_path)

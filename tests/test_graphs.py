@@ -8,7 +8,7 @@ import pytest
 
 from subarchmap import (Circuit, CouplingGraph, Gate, induced_subgraph, is_connected,
                         load_platform, map_optimal, parse_platform, subgraph_isomorphic)
-from subarchmap.graphs import PlatformError, bits, distances
+from subarchmap.graphs import PlatformError, bfs, bits
 from subarchmap.iso import first_in_orbit
 
 from conftest import path, random_connected_graph, relabel_graph, to_networkx
@@ -174,8 +174,19 @@ def test_bfs_matches_networkx():
     for g in graphs:
         h = to_networkx(g)
         assert is_connected(g) == (g.num_vertices == 0 or nx.is_connected(h)), g
-        for v in g.vertices:
-            assert distances(g, v) == nx.single_source_shortest_path_length(h, v), g
+        label = g.vertices.__getitem__
+        for r, v in enumerate(g.vertices):
+            order, dist = bfs(g, [r])
+            # neighbours in rank order, which is label order
+            edges = nx.bfs_edges(h, v, sort_neighbors=sorted)
+            assert list(map(label, order)) == [v] + [w for _, w in edges], g
+            assert {label(j): d for j, d in enumerate(dist) if d >= 0} == \
+                nx.single_source_shortest_path_length(h, v), g
+        if g.num_vertices >= 2:  # from two sources each rank is as far as the nearer
+            pair = rng.sample(range(g.num_vertices), 2)
+            one, two = (bfs(g, [r])[1] for r in pair)
+            assert bfs(g, pair)[1] == [min((d for d in ds if d >= 0), default=-1)
+                                       for ds in zip(one, two)], g
 
 
 def test_is_connected_small_cases():

@@ -3,7 +3,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from subarchmap import (Circuit, Gate, StrategyConfig, emit_qasm,
+from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig, emit_qasm,
                         load_platform, map_with_subarch, maximal, optimality_certificate)
 from subarchmap.cli import main
 from subarchmap.maximal import BudgetExceeded
@@ -112,6 +112,12 @@ def test_negative_ancilla_budget_is_rejected():
 def test_circuit_larger_than_platform():
     with pytest.raises(ValueError, match="larger"):
         map_with_subarch(path(3), make_ring_circuit(4))
+
+
+def test_disconnected_platform_is_rejected():
+    split = CouplingGraph(range(4), [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="connected"):
+        map_with_subarch(split, make_ring_circuit(2))
 
 
 def test_equal_platform_reuses_every_subarchitecture_set(computations):
