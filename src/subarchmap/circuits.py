@@ -179,8 +179,7 @@ def parse_qasm(text: str, space: str = LOGICAL) -> Circuit:
         if name in ("cx", "swap") and len(operands) != 2:
             raise QasmError(f"{name} needs two operands: {stmt!r}")
         if name not in ("cx", "swap") and len(operands) != 1:
-            raise QasmError(f"unsupported binary gate {name!r}: {stmt!r}"
-                            if len(operands) == 2 else f"missing operand: {stmt!r}")
+            raise QasmError(f"unsupported binary gate {name!r}: {stmt!r}")
         gates.append(Gate(name, tuple(operands), params))
     if reg_name is None:
         raise QasmError("no qreg declaration found")

@@ -67,16 +67,16 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     completion of the other with the same steps and swaps.
 
     dfs enters only states the heuristic (the longest hop count of a bound
-    pending CX pair, less one) does not cut and the memo does not prune, as
-    each parent tests its children first. The root binds nothing. A committed
-    gate's child keeps positions and swaps left, with a subset of the pairs.
-    Binding and swap children share one early-exit test, skip at the first
-    bound pending pair more than a limit apart: `remaining + 1` for a binding
-    child, once bound, on the parent's pairs (the child's and at most the
-    gate's own, now 1 apart); `remaining` for a swap child, on the pairs at
-    least `remaining` apart listed before the swap loop, as a swap moves each
-    qubit one step. A cut child gets no memo entry, so the states expanded,
-    in order, the memo and the witness are those of tests on entry.
+    pending CX pair, less one) does not cut and the memo does not prune: a
+    parent tests each child's cut, and enter, the one child step, its memo.
+    A committed gate's child keeps positions and swaps left, with a subset
+    of the pairs, so it is not cut. Binding and swap children skip at the
+    first bound pending pair more than a limit apart: `remaining + 1` for a
+    binding child, once bound, on the parent's pairs (the child's and at most
+    the gate's own, now 1 apart); `remaining` for a swap child, on the pairs
+    at least `remaining` apart listed before the swap loop, as a swap moves
+    each qubit one step. A cut child gets no memo entry, so the states
+    expanded, in order, the memo and the witness are those of tests on entry.
 
     The memo, written for each state before dfs enters it, prunes a state
     reached with no more swaps left than recorded (a committed gate's parent
@@ -94,11 +94,12 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     stored. Bindings of one orbit succeed or fail together, so the first that
     succeeds is first in its orbit, and skipping changes no witness.
 
-    A bounded call first runs dfs(0, bound) alone, the one limit that decides
-    most of them; after a success the limits deepen from 0, so the witness is
-    the one an unbounded call finds. deadline is checked at every entered
-    node.
+    A bounded call runs dfs(0, bound) alone, the one limit that decides most
+    of them, and after a success returns the unbounded call. deadline is
+    checked at every entered node.
     """
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be non-negative")
     if c.n_qubits > g.num_vertices:
         raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
                          f"{g.num_vertices}")
@@ -150,6 +151,17 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
         return [move for u, v in edges if occ[u] < 0 and occ[v] < 0
                 for move in (((a, u), (b, v)), ((a, v), (b, u)))]
 
+    def enter(done: int, remaining: int, op: tuple) -> bool:
+        """Search the child state (done, occ) reached by op, unless the memo prunes it."""
+        if memo.get(key := (done, *occ), -1) >= remaining:
+            return False
+        memo[key] = remaining
+        ops.append(op)
+        if dfs(done, remaining):
+            return True
+        ops.pop()
+        return False
+
     def dfs(done: int, remaining: int) -> bool:
         if deadline is not None:
             deadline.check()
@@ -172,14 +184,7 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             # to the front of any completion without changing the swap count, so
             # commit to it and branch nowhere else.
             if len(phys) == 1 or dist[phys[0] * k + phys[1]] == 1:
-                if memo.get(key := (done | 1 << i, *occ), -1) >= remaining:
-                    return False
-                memo[key] = remaining
-                ops.append((i, phys))
-                if dfs(done | 1 << i, remaining):
-                    return True
-                ops.pop()
-                return False
+                return enter(done | 1 << i, remaining, (i, phys))
 
         for i in unbound:
             for new in bindings(i):
@@ -192,12 +197,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     if pos[a] >= 0 and pos[b] >= 0 and dist[pos[a] * k + pos[b]] > remaining + 1:
                         break
                 else:
-                    if memo.get(key := (done | 1 << i, *occ), -1) < remaining:
-                        memo[key] = remaining
-                        ops.append((i, tuple(pos[q] for q in gates[i].qubits)))
-                        if dfs(done | 1 << i, remaining):
-                            return True
-                        ops.pop()
+                    if enter(done | 1 << i, remaining, (i, tuple(pos[q] for q in gates[i].qubits))):
+                        return True
                 for q, p in new:
                     pos[q] = occ[p] = -1
 
@@ -216,29 +217,20 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
                     if dist[pos[a] * k + pos[b]] > remaining:
                         break
                 else:
-                    if memo.get(key := (done, *occ), -1) < remaining - 1:
-                        memo[key] = remaining - 1
-                        ops.append((None, edge))
-                        if dfs(done, remaining - 1):
-                            return True
-                        ops.pop()
+                    if enter(done, remaining - 1, (None, edge)):
+                        return True
                 occ[u], occ[v] = x, y
                 pos[x], pos[y] = u, v
         return False
 
     try:
         if bound is not None:
-            if not dfs(0, bound):
-                return None
-            ops.clear()  # a failed dfs leaves these empty, a successful one does not
-            memo.clear()  # the probe's entries hold its own path, which is no failure
-            pos[:] = [-1] * len(pos)
-            occ[:] = [-1] * k
-        for limit in itertools.count():  # ends by limit == bound after a probe succeeds
+            return map_optimal(c, g, relaxed=relaxed, deadline=deadline) if dfs(0, bound) else None
+        for limit in itertools.count():
             if dfs(0, limit):
                 return _build_result(c, g, ops, limit)
     finally:
-        del dfs  # it holds itself through its cell, and with it the search state
+        del dfs  # dfs and enter hold each other, and the search state, through cells
 
 
 def _build_result(c: Circuit, g: CouplingGraph, ops: list[tuple],

@@ -78,6 +78,8 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
         raise ValueError("platform must be connected")
     if cfg.max_ancillas is not None and cfg.max_ancillas < 0:
         raise ValueError("max_ancillas must be non-negative")
+    if cfg.initial_bound is not None and cfg.initial_bound < 0:
+        raise ValueError("initial_bound must be non-negative")
 
     k_max = g.num_vertices if cfg.max_ancillas is None \
         else min(g.num_vertices, n + cfg.max_ancillas)

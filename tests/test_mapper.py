@@ -60,6 +60,10 @@ class TestMapOptimal:
         with pytest.raises(ValueError, match="needs"):
             map_optimal(make_ring_circuit(4), path(3))
 
+    def test_negative_bound_is_refused(self):
+        with pytest.raises(ValueError, match="bound must be non-negative"):
+            map_optimal(Circuit(1, ()), load_platform("guadalupe"), bound=-3)
+
     def test_disconnected_target(self):
         g = CouplingGraph(range(4), [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
@@ -278,14 +282,15 @@ def test_strategy_on_a_member_with_label_gaps():
         assert outcome(r) == outcome(on_dense, dict(zip(dense.vertices, member.vertices)))
 
 
-@pytest.mark.parametrize("bound", [None, 0])
+@pytest.mark.parametrize("bound", [None, 0, 3])
 def test_a_call_leaves_nothing_for_the_cycle_collector(bound):
     g = load_platform("guadalupe")
     c = Circuit(4, tuple(Gate("cx", p) for p in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
     gc.collect()
     gc.disable()
     try:
-        map_optimal(c, g, bound=bound)  # bound 0 fails, None succeeds
+        # bound 0 fails; bound 3 succeeds, as does None, with 2 swaps
+        map_optimal(c, g, bound=bound)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -57,6 +57,12 @@ def test_initial_bound_can_forbid_everything():
     assert cert["optimal"] is False
 
 
+def test_negative_initial_bound_is_refused():
+    c = Circuit(1, (Gate("h", (0,)), Gate("h", (0,))))
+    with pytest.raises(ValueError, match="initial_bound must be non-negative"):
+        map_with_subarch(load_platform("guadalupe"), c, StrategyConfig(initial_bound=-1))
+
+
 def test_results_verify_against_platform():
     rng = random.Random(12)
     for _ in range(10):
