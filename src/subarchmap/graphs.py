@@ -8,6 +8,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+MAX_QUBITS = 1 << 16  # far above any device; a larger count is refused before allocation
+
 
 class PlatformError(ValueError):
     """Raised for malformed platform descriptions."""
@@ -25,9 +27,12 @@ class CouplingGraph:
     `vertices`. `vertices` is sorted, so ascending bits are ascending labels and
     equal rows are equal edge sets. The rows are the only adjacency structure:
     `edges` is built from them on each read, and `num_vertices` and `num_edges`
-    are counted at construction. `_derived` starts empty: other modules keep
-    what they derive from the graph there, each under its own key. It enters
-    no equality, hashing, copies or pickles.
+    are counted at construction. Other modules keep what they derive from the
+    graph in `_derived`, each under its own key. Every entry is a function of
+    `_rows` alone, never of the labels, so induced subgraphs of one platform
+    with equal rows share one `_derived` (see induced_subgraph); any other
+    graph starts with an empty one. It enters no equality, hashing, copies or
+    pickles.
     """
 
     __slots__ = ("name", "vertices", "num_vertices", "num_edges", "_rank", "_rows", "_derived")
@@ -102,6 +107,8 @@ def parse_platform(text: str) -> CouplingGraph:
     n = doc["qubits"]
     if type(n) is not int or n < 0:  # JSON true/false are bools, an int subclass
         raise PlatformError("'qubits' must be a non-negative integer")
+    if n > MAX_QUBITS:
+        raise PlatformError(f"'qubits' is {n}, above the limit of {MAX_QUBITS}")
     items = doc.get("edges", [])
     if not isinstance(items, list):
         raise PlatformError(f"'edges' must be a list of [u, v] pairs: {items!r}")
@@ -172,7 +179,12 @@ def is_connected(g: CouplingGraph) -> bool:
 
 
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
-    """Induced subgraph on `members`, keeping original vertex labels."""
+    """Induced subgraph on `members`, keeping original vertex labels.
+
+    Its `_derived` is that of the first induced subgraph of g with equal rows:
+    g's own `_derived` maps rows to it under "induced", so what a pattern
+    derives is computed once per platform, not once per subset.
+    """
     rank, rows, vs = g._rank, g._rows, g.vertices
     s = set(members)
     missing = s.difference(rank)  # walks s, not the platform
@@ -182,4 +194,7 @@ def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
     for v in s:
         mask |= 1 << rank[v]
     kept = [(vs[i], vs[j]) for i in bits(mask) for j in bits(rows[i] & mask) if i < j]
-    return CouplingGraph(s, kept, name=g.name)
+    sub = CouplingGraph(s, kept, name=g.name)
+    shared = g._derived.setdefault("induced", {})
+    object.__setattr__(sub, "_derived", shared.setdefault(sub._rows, sub._derived))
+    return sub

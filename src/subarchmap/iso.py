@@ -10,7 +10,9 @@ pattern's search plan (its vertex order, with each step's degree and
 earlier-placed neighbour steps) and a host's degree masks (the vertices of
 degree at least d, for each d). A step's candidates then cost one int `&` per
 placed neighbour, VF2-style (Cordella et al., TPAMI 2004), and a pattern or
-host met again costs no set-up.
+host met again costs no set-up. The hash is cached the same way. All three
+read only the rows, and induced subgraphs of one platform with equal rows
+share their caches, so each is computed once per pattern and platform.
 
 The same matcher, with a graph as both pattern and host, decides the
 automorphism orbits the mapper breaks symmetry with: first_in_orbit pins a
@@ -32,14 +34,18 @@ def wl_hash(g: CouplingGraph) -> int:
     The result hashes the sorted multiset of colors together with the vertex
     and edge counts. Colors are ints and Python does not salt the hash of int
     tuples, so the value is stable across runs. Non-isomorphic graphs can
-    share a value: it is a bucket key, never a verdict.
+    share a value: it is a bucket key, never a verdict. The refinement reads
+    only the rows, never the labels (Shervashidze et al., JMLR 2011), so the
+    value is cached in `g._derived` and shared by every graph that shares it.
     """
-    nbrs = list(map(bits, g._rows))
-    colors = [len(ns) for ns in nbrs]
-    for _ in range(3):
-        at = colors.__getitem__
-        colors = [hash((c, tuple(sorted(map(at, ns))))) for c, ns in zip(colors, nbrs)]
-    return hash((g.num_vertices, g.num_edges, tuple(sorted(colors))))
+    if (wl := g._derived.get("wl")) is None:
+        nbrs = list(map(bits, g._rows))
+        colors = [len(ns) for ns in nbrs]
+        for _ in range(3):
+            at = colors.__getitem__
+            colors = [hash((c, tuple(sorted(map(at, ns))))) for c, ns in zip(colors, nbrs)]
+        wl = g._derived["wl"] = hash((g.num_vertices, g.num_edges, tuple(sorted(colors))))
+    return wl
 
 
 def is_isomorphic(g1: CouplingGraph, g2: CouplingGraph) -> bool:

@@ -1,5 +1,6 @@
 """Acceptance checks. Each test prints one PASS/FAIL line for its criterion."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -92,6 +93,57 @@ def test_criterion_3_expected_member_counts(guadalupe_pipeline,
     ok = g_members == 2 and t_members == 1
     _report(3, ok, f"guadalupe k=4: {g_members} members, tokyo k=4: "
                    f"{t_members} members")
+
+
+# Counts row, then sha256 of repr([m.vertices for m in members]): the ordered
+# member vertex tuples. A change that keeps every output keeps these.
+PINNED = {
+    ("tokyo", 4): ((4845, 216, 6, 1),
+        "f85222b66af852458b5dbcacd3e10d46d016135cb8d47476720daca7a4f749cd"),
+    ("tokyo", 8): ((125970, 5603, 289, 13),
+        "a7db0bf2aea708485d5f4159c0315bdd064b435f66b0e2acc32d2cf40c0303e4"),
+    ("tokyo", 12): ((125970, 21276, 4299, 180),
+        "4b98a43ba44e747757e5f6b0c7746aadc390fa01ed1aa273831974e55dcdcc64"),
+    ("heavy-hex-127", 8): ((1340346236625, 2174, 6, 6),
+        "7c5910e52842cb0ae418056bd91d4451d4946bf9622c73ab8a935ac8fb3be3b8"),
+    ("heavy-hex-127", 10): ((209123798385425, 7104, 14, 14),
+        "279fb20853ae83d96fde06640b7b5347f60eeb0e1cd11650454312ef51b83b0c"),
+    ("heavy-hex-127", 12): ((21501728724901425, 24592, 33, 32),
+        "ca6b2db73f1268fe04e52a84894fb851dde51e8ea871cd71c7e836c201f203c8"),
+    ("guadalupe", 4): ((1820, 24, 2, 2),
+        "232c5a6da166998bfa9458500b981377e068d7df05c93d0eb2d47896a3590bd8"),
+    ("guadalupe", 5): ((4368, 30, 2, 2),
+        "ad039e9aa1cafd2dd3d892e32ca1afbb8c46e14b9908df0ddf6159e872afa4f0"),
+    ("guadalupe", 6): ((8008, 36, 3, 3),
+        "fecbef274cf302e987e12d978a60d9eab632e75b922d88545008b27648da31b2"),
+    ("guadalupe", 7): ((11440, 45, 4, 4),
+        "9813d30863e46e097405be97122b8e996e2978f14eae216b3447a861d2ec1229"),
+    ("guadalupe", 8): ((12870, 55, 5, 5),
+        "b8b497bd6e0fc0e4bf7f9cef715a91defb34f332a61b5eb6cbd305d58a2aa2a7"),
+    ("guadalupe", 9): ((11440, 67, 7, 7),
+        "c2b2b942ecae62c7f5a42aaf0416845051c637c6dfc4763568c0d87966ef7f4d"),
+    ("guadalupe", 10): ((8008, 81, 9, 9),
+        "45700692f55b7cbb98eae355b7ffd1c168808ac8dd251112f97489dc81219c68"),
+    ("guadalupe", 11): ((4368, 98, 12, 12),
+        "c33d0875e8bb1c822ec6126304dba6dc368edce3d922aa45f848824be14701b1"),
+    ("guadalupe", 12): ((1820, 109, 16, 15),
+        "77710fd7d1ef54ed0014ce89d602fe1f56eff107ab27f583928375e1d898ef97"),
+}
+
+
+def test_pipeline_outputs_are_pinned(tokyo_pipeline):
+    from perfbench.heavyhex import heavy_hex
+    n, edges = heavy_hex()
+    hh, guadalupe = CouplingGraph(range(n), edges), load_platform("guadalupe")
+    results, _, expired = tokyo_pipeline
+    assert not expired
+    runs = {("tokyo", k): ss for k, ss in results.items()}
+    runs |= {("heavy-hex-127", k): max_subarchitectures(hh, k) for k in (8, 10, 12)}
+    runs |= {("guadalupe", k): max_subarchitectures(guadalupe, k) for k in range(4, 13)}
+    got = {key: (ss.counts_row(), hashlib.sha256(
+                repr([m.vertices for m in ss.members]).encode()).hexdigest())
+           for key, ss in runs.items()}
+    assert got == PINNED
 
 
 # ------------------------------------------------------------------ criterion 4

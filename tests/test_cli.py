@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from subarchmap import load_platform, maximal
 from subarchmap.cli import main
+from subarchmap.graphs import MAX_QUBITS
 
 RING_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -468,6 +469,11 @@ MALFORMED = {
         "--circuit", _qasm_file(t, "cx q[0],q[1];")],
     "qubits-bool": lambda t: [
         "subarch", "--platform", _platform_file(t, '{"qubits": true}'), "--size", "1"],
+    "qubits-above-the-limit-verify": lambda t: [
+        "verify", "--platform", _platform_file(t, json.dumps({"qubits": MAX_QUBITS + 1})),
+        "--circuit", _qasm_file(t, "h q[0];"),
+        "--mapped", _write(t / "mapped.qasm", "OPENQASM 2.0;\n// q[0] -> Q[0]\n"
+                           "// q[1] -> Q[1]\nqreg q[2];\nh q[0];\n")],
     "emit-is-a-file": lambda t: [
         "subarch", "--platform", "guadalupe", "--size", "2",
         "--emit", _write(t / "out", "")],

@@ -5,9 +5,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subarchmap import (CouplingGraph, is_isomorphic, load_platform, subgraph_isomorphic,
-                        wl_hash)
-from subarchmap.iso import first_in_orbit
+from subarchmap import (Circuit, CouplingGraph, Gate, is_isomorphic, load_platform,
+                        map_optimal, subgraph_isomorphic, wl_hash)
+from subarchmap.iso import _at_least, _plan, first_in_orbit
 
 from conftest import cycle, path, random_connected_graph, relabel_graph, to_networkx
 
@@ -264,3 +264,26 @@ class TestFirstInOrbit:
             kept = sum(first_in_orbit(g, key) for key in root_keys(g))
             assert time.perf_counter() - t0 < 8, name
             assert orbits is None or kept == orbits, name
+
+
+def test_derived_data_depends_only_on_the_rows():
+    # Induced subgraphs of one platform with equal rows share one _derived.
+    # That is sound because everything kept there is computed from the rows
+    # alone: graphs with equal rows and other labels derive equal values.
+    rng = random.Random(67)
+    pairs = [(path(4), CouplingGraph([10, 20, 30, 40], [(10, 20), (20, 30), (30, 40)]))]
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randrange(3, 10))
+        labels = sorted(rng.sample(LABELS, g.num_vertices))
+        pairs.append((g, relabel_graph(g, dict(zip(g.vertices, labels)))))
+    triangle = Circuit(3, tuple(Gate("cx", p) for p in [(0, 1), (1, 2), (0, 2)]))
+    for a, b in pairs:
+        assert a._rows == b._rows and a.vertices != b.vertices
+        assert _plan(a) == _plan(b) and _at_least(a) == _at_least(b)
+        assert wl_hash(a) == wl_hash(b)
+        keys = root_keys(a)
+        assert [first_in_orbit(a, key) for key in keys] == \
+            [first_in_orbit(b, key) for key in keys]
+        assert map_optimal(triangle, a).swaps == map_optimal(triangle, b).swaps
+        assert a._derived["hops"] == b._derived["hops"]
+        assert a._derived == b._derived and a._derived is not b._derived
