@@ -10,7 +10,7 @@ import click
 
 from .circuits import (LOGICAL, PHYSICAL, Allocation, Circuit, emit_qasm,
                        parse_layout_comments, parse_qasm)
-from .graphs import CouplingGraph, PlatformError, is_connected, load_platform
+from .graphs import CouplingGraph, PlatformError, _decode_json, is_connected, load_platform
 from .maximal import BudgetExceeded, Deadline, subarchitectures
 from .mapper import map_optimal
 from .strategy import StrategyConfig, map_with_subarch, optimality_certificate
@@ -215,7 +215,7 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
         if layout == "auto":
             alloc = parse_layout_comments(mapped_text)
         else:
-            doc = json.loads(Path(layout).read_text(), object_pairs_hook=_unique_keys)
+            doc = _decode_json(Path(layout).read_text())
             if not all(type(p) is int and p >= 0 for p in doc.values()):  # not bool
                 raise ValueError("layout values must be non-negative JSON integers")
             if not all(q.isascii() and q.isdigit() and str(int(q)) == q for q in doc):
@@ -243,7 +243,7 @@ def bench(manifest, budget, as_json):
     """Run the subarchitecture pipeline over a manifest and render a table."""
     try:
         entries = [(str(entry["platform"]), entry["k"])
-                   for entry in json.loads(Path(manifest).read_text())]
+                   for entry in _decode_json(Path(manifest).read_text())]
         if not all(type(k) is int for _, k in entries):  # bool is an int subclass
             raise ValueError("k must be a JSON integer")
     except (ValueError, KeyError, TypeError) as exc:
@@ -274,13 +274,6 @@ def bench(manifest, budget, as_json):
         sys.exit(EXIT_BUDGET)
     if errors:
         sys.exit(EXIT_FAILURE)
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    doc = dict(pairs)
-    if len(doc) != len(pairs):
-        raise ValueError("duplicate key in JSON object")
-    return doc
 
 
 def _load(platform: str, connected: bool = False) -> CouplingGraph:

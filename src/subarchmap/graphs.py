@@ -28,11 +28,8 @@ class CouplingGraph:
     equal rows are equal edge sets. The rows are the only adjacency structure:
     `edges` is built from them on each read, and `num_vertices` and `num_edges`
     are counted at construction. Other modules keep what they derive from the
-    graph in `_derived`, each under its own key. Every entry is a function of
-    `_rows` alone, never of the labels, so induced subgraphs of one platform
-    with equal rows share one `_derived` (see induced_subgraph); any other
-    graph starts with an empty one. It enters no equality, hashing, copies or
-    pickles.
+    rows alone in `_derived`, each under its own key. It starts empty and
+    enters no equality, hashing, copies or pickles.
     """
 
     __slots__ = ("name", "vertices", "num_vertices", "num_edges", "_rank", "_rows", "_derived")
@@ -96,11 +93,23 @@ class CouplingGraph:
         return hashlib.sha256(payload).hexdigest()
 
 
+def _decode_json(text: str) -> object:
+    """Decode JSON; ValueError if it is malformed, nests too deep or repeats a key."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        if len(doc := dict(pairs)) != len(pairs):
+            raise ValueError("duplicate key in JSON object")
+        return doc
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def parse_platform(text: str) -> CouplingGraph:
     """Parse a platform JSON document: {"name", "qubits": N, "edges": [[u,v],...]}."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = _decode_json(text)
+    except ValueError as exc:
         raise PlatformError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "qubits" not in doc:
         raise PlatformError("platform document must be an object with a 'qubits' field")
@@ -179,12 +188,7 @@ def is_connected(g: CouplingGraph) -> bool:
 
 
 def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
-    """Induced subgraph on `members`, keeping original vertex labels.
-
-    Its `_derived` is that of the first induced subgraph of g with equal rows:
-    g's own `_derived` maps rows to it under "induced", so what a pattern
-    derives is computed once per platform, not once per subset.
-    """
+    """Induced subgraph on `members`, keeping original vertex labels."""
     rank, rows, vs = g._rank, g._rows, g.vertices
     s = set(members)
     missing = s.difference(rank)  # walks s, not the platform
@@ -194,7 +198,4 @@ def induced_subgraph(g: CouplingGraph, members: Iterable[int]) -> CouplingGraph:
     for v in s:
         mask |= 1 << rank[v]
     kept = [(vs[i], vs[j]) for i in bits(mask) for j in bits(rows[i] & mask) if i < j]
-    sub = CouplingGraph(s, kept, name=g.name)
-    shared = g._derived.setdefault("induced", {})
-    object.__setattr__(sub, "_derived", shared.setdefault(sub._rows, sub._derived))
-    return sub
+    return CouplingGraph(s, kept, name=g.name)

@@ -11,8 +11,7 @@ earlier-placed neighbour steps) and a host's degree masks (the vertices of
 degree at least d, for each d). A step's candidates then cost one int `&` per
 placed neighbour, VF2-style (Cordella et al., TPAMI 2004), and a pattern or
 host met again costs no set-up. The hash is cached the same way. All three
-read only the rows, and induced subgraphs of one platform with equal rows
-share their caches, so each is computed once per pattern and platform.
+read only the rows.
 
 The same matcher, with a graph as both pattern and host, decides the
 automorphism orbits the mapper breaks symmetry with: first_in_orbit pins a
@@ -34,9 +33,8 @@ def wl_hash(g: CouplingGraph) -> int:
     The result hashes the sorted multiset of colors together with the vertex
     and edge counts. Colors are ints and Python does not salt the hash of int
     tuples, so the value is stable across runs. Non-isomorphic graphs can
-    share a value: it is a bucket key, never a verdict. The refinement reads
-    only the rows, never the labels (Shervashidze et al., JMLR 2011), so the
-    value is cached in `g._derived` and shared by every graph that shares it.
+    share a value: it is a bucket key, never a verdict (Shervashidze et al.,
+    JMLR 2011). It is cached in `g._derived`.
     """
     if (wl := g._derived.get("wl")) is None:
         nbrs = list(map(bits, g._rows))

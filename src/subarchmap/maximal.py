@@ -62,8 +62,10 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     First pass, streaming: each connected k-subset is hashed and opens a new
     isomorphism class unless is_isomorphic confirms a graph in its hash
     bucket. The hash only narrows the exact checks; it never decides a class,
-    since non-isomorphic graphs may share a WL hash. The "connected" stage
-    time is the rest of the pass: enumeration and budget checks.
+    since non-isomorphic graphs may share a WL hash. Both read only the rows:
+    a subset whose rows came earlier in the pass is hashed and checked as
+    the class they joined, already cached. The "connected" stage time is
+    the rest of the pass: enumeration and budget checks.
 
     Second pass, densest class first: a class is kept unless it embeds into
     an already-kept class with strictly more edges. Classes are pairwise
@@ -76,6 +78,7 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
     deadline = deadline or Deadline(None)
     connected = 0
     buckets: dict[int, list[CouplingGraph]] = {}
+    joined: dict[tuple[int, ...], CouplingGraph] = {}
     classes: list[CouplingGraph] = []
     t_iso = 0.0
     t_pass = time.perf_counter()
@@ -85,10 +88,13 @@ def max_subarchitectures(g: CouplingGraph, k: int, *,
 
         t0 = time.perf_counter()
         sub = induced_subgraph(g, subset)
-        bucket = buckets.setdefault(wl_hash(sub), [])
-        if not any(is_isomorphic(sub, other) for other in bucket):
+        rep = joined.get(sub._rows, sub)
+        bucket = buckets.setdefault(wl_hash(rep), [])
+        rep = next((other for other in bucket if is_isomorphic(rep, other)), sub)
+        if rep is sub:
             bucket.append(sub)
             classes.append(sub)
+        joined[sub._rows] = rep
         t_iso += time.perf_counter() - t0
     t_conn = time.perf_counter() - t_pass - t_iso  # enumeration and budget checks
 

@@ -102,6 +102,8 @@ PINNED = {
         "f85222b66af852458b5dbcacd3e10d46d016135cb8d47476720daca7a4f749cd"),
     ("tokyo", 8): ((125970, 5603, 289, 13),
         "a7db0bf2aea708485d5f4159c0315bdd064b435f66b0e2acc32d2cf40c0303e4"),
+    ("tokyo", 10): ((184756, 14858, 1591, 78),
+        "f4bb8a632be68b442da957b04a4ea92033cfe55bbefdaead1dcf8d81108ac1eb"),
     ("tokyo", 12): ((125970, 21276, 4299, 180),
         "4b98a43ba44e747757e5f6b0c7746aadc390fa01ed1aa273831974e55dcdcc64"),
     ("heavy-hex-127", 8): ((1340346236625, 2174, 6, 6),
@@ -138,6 +140,7 @@ def test_pipeline_outputs_are_pinned(tokyo_pipeline):
     results, _, expired = tokyo_pipeline
     assert not expired
     runs = {("tokyo", k): ss for k, ss in results.items()}
+    runs[("tokyo", 10)] = max_subarchitectures(load_platform("tokyo"), 10)
     runs |= {("heavy-hex-127", k): max_subarchitectures(hh, k) for k in (8, 10, 12)}
     runs |= {("guadalupe", k): max_subarchitectures(guadalupe, k) for k in range(4, 13)}
     got = {key: (ss.counts_row(), hashlib.sha256(

@@ -390,6 +390,8 @@ def _verify_with_layout(tmp_path, layout):
             "--layout", _write(tmp_path / "layout.json", layout)]
 
 
+NESTED = "[" * 1100 + "]" * 1100  # deeper than the interpreter's recursion limit
+
 MALFORMED = {
     "cx-same-qubit": lambda t: [
         "map", "--platform", "guadalupe", "--circuit",
@@ -431,6 +433,7 @@ MALFORMED = {
     "layout-key-with-space": lambda t: _verify_with_layout(t, '{"0": 0, "1": 1, "1 ": 4}'),
     "layout-key-leading-zero": lambda t: _verify_with_layout(t, '{"00": 0, "1": 1}'),
     "layout-key-twice": lambda t: _verify_with_layout(t, '{"0": 5, "0": 0, "1": 1}'),
+    "layout-nested-too-deep": lambda t: _verify_with_layout(t, NESTED),
     "layout-comment-twice": lambda t: [
         "verify", "--platform", "guadalupe",
         "--circuit", _qasm_file(t, "cx q[0],q[1];"),
@@ -461,6 +464,14 @@ MALFORMED = {
     "manifest-k-string": lambda t: [
         "bench", "--manifest",
         _write(t / "m.json", '[{"platform": "guadalupe", "k": "4"}]')],
+    "manifest-nested-too-deep": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", NESTED)],
+    "platform-nested-too-deep": lambda t: [
+        "map", "--platform", _platform_file(t, NESTED),
+        "--circuit", _qasm_file(t, "cx q[0],q[1];")],
+    "platform-key-twice": lambda t: [
+        "subarch", "--platform",
+        _platform_file(t, '{"qubits": 3, "qubits": 2, "edges": [[0, 1]]}'), "--size", "2"],
     "edges-null": lambda t: [
         "subarch", "--platform", _platform_file(t, '{"qubits": 3, "edges": null}'),
         "--size", "2"],

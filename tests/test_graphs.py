@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from subarchmap import (Circuit, CouplingGraph, Gate, connected_subgraphs, induced_subgraph,
-                        is_connected, load_platform, map_optimal, max_subarchitectures,
-                        parse_platform, subgraph_isomorphic, wl_hash)
+from subarchmap import (Circuit, CouplingGraph, Gate, induced_subgraph, is_connected,
+                        load_platform, map_optimal, parse_platform, subgraph_isomorphic,
+                        wl_hash)
 from subarchmap.graphs import MAX_QUBITS, PlatformError, bfs, bits
 from subarchmap.iso import first_in_orbit
 
@@ -113,6 +113,8 @@ class TestParsePlatform:
 
     @pytest.mark.parametrize("doc, match", [
         ('[3]', "must be an object"),
+        ('{"qubits": 3, "qubits": 2}', "duplicate key"),
+        pytest.param("[" * 1100 + "]" * 1100, "nested too deeply", id="nested-1100-deep"),
         ('{"qubits": -1}', "non-negative integer"),
         ('{"qubits": 2.0}', "non-negative integer"),
         ('{"qubits": "3"}', "non-negative integer"),
@@ -243,30 +245,14 @@ def test_cached_search_data_stays_out_of_equality_and_hash():
     assert copy.copy(a)._derived == {} and pickle.loads(pickle.dumps(a))._derived == {}
 
 
-def test_induced_subgraphs_with_equal_rows_share_derived_data():
+def test_cut_subgraphs_never_share_derived_data():
     g = cycle(8)
     a, b = induced_subgraph(g, {0, 1, 2}), induced_subgraph(g, {3, 4, 5})
     bent = induced_subgraph(g, {7, 0, 1})  # a path too, with its middle at label 0
     assert a._rows == b._rows != bent._rows and a != b
-    assert a._derived is b._derived and bent._derived is not a._derived
-    assert wl_hash(b) == wl_hash(bent) and "wl" in a._derived
-    assert g._derived["induced"] == {a._rows: a._derived, bent._rows: bent._derived}
-    assert CouplingGraph(a.vertices, a.edges)._derived == {}  # built, not cut: its own
+    assert wl_hash(a) == wl_hash(b) == wl_hash(bent)
+    assert len({id(a._derived), id(b._derived), id(bent._derived)}) == 3
+    assert all("wl" in sub._derived for sub in (a, b, bent))  # each computed its own
+    assert g._derived == {}
     for sub in (a, bent):
         assert copy.copy(sub)._derived == {} and pickle.loads(pickle.dumps(sub))._derived == {}
-
-
-def test_a_platform_keeps_one_derived_dict_per_pattern():
-    from perfbench.heavyhex import heavy_hex
-    n, edges = heavy_hex()
-    g = CouplingGraph(range(n), edges)
-    ss = max_subarchitectures(g, 8)
-    patterns = set()
-    for subset in connected_subgraphs(g, 8):
-        rank = {v: i for i, v in enumerate(sorted(subset))}
-        patterns.add(frozenset((rank[u], rank[v]) for u, v in edges
-                               if u in rank and v in rank))
-    table = g._derived["induced"]
-    assert len(table) == len(patterns) == 109
-    shared = {id(d) for d in table.values()}
-    assert all(id(m._derived) in shared for m in ss.members)

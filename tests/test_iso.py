@@ -267,9 +267,10 @@ class TestFirstInOrbit:
 
 
 def test_derived_data_depends_only_on_the_rows():
-    # Induced subgraphs of one platform with equal rows share one _derived.
-    # That is sound because everything kept there is computed from the rows
-    # alone: graphs with equal rows and other labels derive equal values.
+    # Everything kept in _derived is computed from the rows alone: graphs with
+    # equal rows and other labels derive equal values. max_subarchitectures
+    # relies on it when it hashes and checks a subset as the class its rows
+    # joined earlier in the pass.
     rng = random.Random(67)
     pairs = [(path(4), CouplingGraph([10, 20, 30, 40], [(10, 20), (20, 30), (30, 40)]))]
     for _ in range(30):

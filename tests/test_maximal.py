@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -111,6 +113,47 @@ def test_wl_collision_keeps_both_classes():
     assert ss.counts_row() == (924, 135, 17, 4)
     naive_classes, naive_max = naive_pipeline(g, 6)
     assert (ss.stage_counts["noniso"], len(ss.members)) == (naive_classes, len(naive_max))
+
+
+def test_a_pass_hashes_each_rows_pattern_once(monkeypatch):
+    # A subset with rows seen earlier in the pass is hashed as the class those
+    # rows joined, whose hash is cached: only a new pattern computes one.
+    from perfbench.heavyhex import heavy_hex
+    n, edges = heavy_hex()
+    g = CouplingGraph(range(n), edges)
+    computed = []
+
+    def counted(sub):
+        if "wl" not in sub._derived:
+            computed.append(sub._rows)
+        return wl_hash(sub)
+
+    monkeypatch.setattr(maximal, "wl_hash", counted)
+    max_subarchitectures(g, 8)
+    patterns = set()
+    for subset in connected_subgraphs(g, 8):
+        rank = {v: i for i, v in enumerate(sorted(subset))}
+        patterns.add(frozenset((rank[u], rank[v]) for u, v in edges
+                               if u in rank and v in rank))
+    assert len(computed) == len(set(computed)) == len(patterns) == 109
+    assert g._derived == {}
+
+
+def test_passes_hold_no_memory_once_their_results_are_dropped():
+    # What a pass builds to find its classes dies with the pass, so levels
+    # computed on one platform object do not pile up behind it.
+    g = load_platform("tokyo")
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in (6, 8):
+            max_subarchitectures(g, k)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
 
 
 def test_deadline_expires():
