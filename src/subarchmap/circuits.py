@@ -1,4 +1,5 @@
-"""Circuit model, OpenQASM-2 subset I/O, allocations, unmap, strict or per-qubit equality."""
+"""Circuit model, OpenQASM-2 subset I/O, allocations, unmap, and equality wire by wire
+(strict order puts every gate on one wire; relaxed order has a wire per qubit)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from typing import Mapping
 
 LOGICAL = "logical"
 PHYSICAL = "physical"
+STRICT = "strict"
+RELAXED = "relaxed"
 
 
 class QasmError(ValueError):
@@ -215,26 +218,24 @@ def parse_layout_comments(text: str) -> Allocation | None:
     return Allocation.from_dict(pairs) if pairs else None
 
 
-def _wires(c: Circuit) -> dict[int, list[Gate]]:
-    """The gates acting on each qubit, in circuit order."""
+def _wires(c: Circuit, mode: str) -> dict[int, list[Gate]]:
+    """The gates on each wire, in circuit order: one wire per qubit in relaxed
+    order, and in strict order one wire, -1, that every gate shares."""
+    if mode not in (STRICT, RELAXED):
+        raise ValueError(f"unknown mode {mode!r}")
     wires: dict[int, list[Gate]] = {}
     for g in c.gates:
-        for q in g.qubits:
-            wires.setdefault(q, []).append(g)
+        for w in g.qubits if mode == RELAXED else (-1,):
+            wires.setdefault(w, []).append(g)
     return wires
 
 
-def circuits_equal(a: Circuit, b: Circuit, mode: str = "strict") -> bool:
-    """Gate-list equality (strict) or equality modulo independent-gate order (relaxed).
+def circuits_equal(a: Circuit, b: Circuit, mode: str = STRICT) -> bool:
+    """Equality of the register size and of the gates on each wire (see _wires).
 
-    Relaxed mode compares the gates on each qubit: lists that differ by swaps
-    of adjacent gates on disjoint qubits are exactly those whose wires agree
-    (the projection lemma of trace theory; Cori & Perrin 1985).
+    Strict order puts every gate on one wire, so its wires agree iff the gate
+    lists do. In relaxed order, lists that differ by swaps of adjacent gates
+    on disjoint qubits are exactly those whose per-qubit wires agree (the
+    projection lemma of trace theory; Cori & Perrin 1985).
     """
-    if a.n_qubits != b.n_qubits:
-        return False
-    if mode == "strict":
-        return a.gates == b.gates
-    if mode == "relaxed":
-        return _wires(a) == _wires(b)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _wires(a, mode) == _wires(b, mode) and a.n_qubits == b.n_qubits

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import click
 
-from .circuits import (LOGICAL, PHYSICAL, Allocation, Circuit, emit_qasm,
+from .circuits import (LOGICAL, PHYSICAL, RELAXED, STRICT, Allocation, Circuit, emit_qasm,
                        parse_layout_comments, parse_qasm)
 from .graphs import CouplingGraph, PlatformError, _decode_json, is_connected, load_platform
 from .maximal import BudgetExceeded, Deadline, subarchitectures
 from .mapper import map_optimal
 from .strategy import StrategyConfig, map_with_subarch, optimality_certificate
 from .subgraphs import connected_subgraphs
-from .verify import RELAXED, STRICT, check_equivalence, check_feasibility, make_verdict
+from .verify import check_equivalence, check_feasibility, make_verdict
 
 EXIT_FAILURE = 1
 EXIT_BUDGET = 3
@@ -242,10 +242,10 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
 def bench(manifest, budget, as_json):
     """Run the subarchitecture pipeline over a manifest and render a table."""
     try:
-        entries = [(str(entry["platform"]), entry["k"])
+        entries = [(entry["platform"], entry["k"])
                    for entry in _decode_json(Path(manifest).read_text())]
-        if not all(type(k) is int for _, k in entries):  # bool is an int subclass
-            raise ValueError("k must be a JSON integer")
+        if not all(type(p) is str and type(k) is int for p, k in entries):  # not bool
+            raise ValueError("platform must be a JSON string and k a JSON integer")
     except (ValueError, KeyError, TypeError) as exc:
         raise click.BadParameter(f"not a list of {{platform, k}} rows: {exc!r}",
                                  param_hint="--manifest")

@@ -109,8 +109,10 @@ def first_in_orbit(g: CouplingGraph, key: tuple[int, ...]) -> bool:
     A key is a tuple of distinct vertex ranks, and an automorphism carries
     (u0, v0) onto (u, v) when it maps u0 to u and v0 to v; keys of unequal
     length never meet. The first key met of each orbit is kept, so a caller
-    must meet the keys of g in one fixed order. The first key of each length
-    is kept with no work, and every decision is cached in `g._derived`.
+    must meet the keys of g in one fixed order. `g._derived["orbits"]` holds
+    one table per key length, in which each key met maps to False when
+    skipped, to its refinement when kept, or to None when kept but not yet
+    refined: the first key of each length is kept with no work.
 
     Individualise and refine (McKay & Piperno, J. Symb. Comput. 2014), once
     per key: see _refine. Refinement commutes with automorphisms, so one
@@ -120,25 +122,19 @@ def first_in_orbit(g: CouplingGraph, key: tuple[int, ...]) -> bool:
     decides, with those classes as candidate masks. The whole group is never
     enumerated.
     """
-    if (orbits := g._derived.get("orbits")) is None:
-        orbits = g._derived["orbits"] = ({}, {})
-    decided, kept = orbits  # key -> verdict; length -> {kept key: its refinement}
-    if key not in decided:
-        earlier = kept.setdefault(len(key), {})
-        mine = None  # the first key is refined only when a later key needs it
-        if earlier:
-            mine = sizes, _, masks = _refine(g, key)
-            for other, theirs in earlier.items():
+    table = g._derived.setdefault("orbits", {}).setdefault(len(key), {})
+    if key not in table:
+        entry = None  # the first key is refined only when a later key needs it
+        if table:
+            entry = sizes, _, masks = _refine(g, key)
+            for other, theirs in table.items():
                 if theirs is None:
-                    theirs = earlier[other] = _refine(g, other)
-                if theirs[0] == sizes and _match(theirs[1], masks, g._rows):
-                    decided[key] = False
-                    return False
-        # The verdict is written before the key joins the kept keys: a key
-        # that was kept but not yet decided would later be carried onto itself.
-        decided[key] = True
-        earlier[key] = mine
-    return decided[key]
+                    theirs = table[other] = _refine(g, other)
+                if theirs and theirs[0] == sizes and _match(theirs[1], masks, g._rows):
+                    entry = False
+                    break
+        table[key] = entry
+    return table[key] is not False
 
 
 def _refine(g: CouplingGraph, key: tuple[int, ...]):

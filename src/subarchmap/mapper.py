@@ -46,9 +46,9 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
 
     One search serves both orders. Each gate has a bitmask of the gates it
     must follow, and a search state is the bitmask of executed gates plus the
-    current binding of logical to physical qubits. Strict order is the
-    dependency chain gate i-1 -> gate i; relaxed order keeps only the
-    dependencies through shared qubits. Nothing else depends on the order.
+    current binding of logical to physical qubits. A gate follows the
+    previous gate on each of its wires: one wire per qubit in relaxed order,
+    one shared by every gate in strict order. Nothing else depends on it.
 
     The state is flat and indexed by vertex rank in g.vertices: pos (per
     logical qubit) and occ (per rank) are lists with -1 for none, the memo
@@ -107,6 +107,8 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     m = len(gates)
     k = g.num_vertices
     if (hops := g._derived.get("hops")) is None:  # once per graph
+        if not all(type(v) is int and v >= 0 for v in g.vertices):  # not bool
+            raise ValueError("physical qubit labels must be non-negative integers")
         dist = tuple(d for r in range(k) for d in bfs(g, [r])[1])
         if -1 in dist:
             raise ValueError("coupling graph must be connected")
@@ -115,19 +117,16 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
             dist, nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s))
     dist, nbrs, edges = hops
 
-    # Gate i may run once every gate in preds_mask[i] has. Relaxed order waits
-    # only for the previous gate on each of its qubits; strict order is the
-    # chain in which gate i waits for gate i-1.
+    # Gate i may run once every gate in preds_mask[i] has: the previous gate
+    # on each of its wires. Relaxed order has a wire per qubit; strict order
+    # has one wire, -1, that every gate shares.
     preds_mask = [0] * m
     last_on: dict[int, int] = {}
     for i, gate in enumerate(gates):
-        if relaxed:
-            for q in gate.qubits:
-                if q in last_on:
-                    preds_mask[i] |= 1 << last_on[q]
-                last_on[q] = i
-        elif i:
-            preds_mask[i] = 1 << (i - 1)
+        for w in gate.qubits if relaxed else (-1,):
+            if w in last_on:
+                preds_mask[i] |= 1 << last_on[w]
+            last_on[w] = i
     full_mask = (1 << m) - 1
     frontier: dict[int, tuple] = {}  # done -> (ready gates, distinct pending CX pairs)
 

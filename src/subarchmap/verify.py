@@ -3,18 +3,16 @@
 This module is the trusted base for the test suite: it shares the data types
 with the mapper but none of its search code, and no isomorphism code at all.
 Relaxed equivalence holds iff every qubit sees the same gates in the same order.
+The modes STRICT and RELAXED are defined in circuits and re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuits import Allocation, Circuit, UnmapError, circuits_equal, unmap
+from .circuits import RELAXED, STRICT, Allocation, Circuit, UnmapError, circuits_equal, unmap
 from .graphs import CouplingGraph
 from .mapper import MapResult
-
-STRICT = "strict"
-RELAXED = "relaxed"
 
 
 @dataclass

@@ -40,6 +40,12 @@ class TestCircuit:
     def test_physical_allows_swap_and_large_labels(self):
         c = Circuit(2, (Gate("swap", (7, 9)),), PHYSICAL)
         assert c.swap_count() == 1
+        with pytest.raises(ValueError, match="negative physical label"):
+            Circuit(2, (Gate("swap", (-1, 9)),), PHYSICAL)
+
+    def test_rejects_a_bad_space_tag(self):
+        with pytest.raises(ValueError, match="bad space tag"):
+            Circuit(2, (), "quantum")
 
 
 class TestAllocation:
@@ -189,8 +195,9 @@ class TestEquivalence:
 
     def test_unknown_mode(self):
         c = Circuit(1, ())
-        with pytest.raises(ValueError):
-            circuits_equal(c, c, "fuzzy")
+        for other in (c, Circuit(2, ())):  # also when the registers differ
+            with pytest.raises(ValueError, match="unknown mode"):
+                circuits_equal(c, other, "fuzzy")
 
     @pytest.mark.parametrize("kind", ["shuffle", "adjacent", "unrelated"])
     def test_relaxed_is_reachability_by_independent_swaps(self, kind):
@@ -209,9 +216,13 @@ class TestEquivalence:
                 b[i], b[i + 1] = b[i + 1], b[i]
             elif kind == "unrelated":
                 b = [_random_gate(rng, n) for _ in a]
-            verdict = circuits_equal(Circuit(n, tuple(a)), Circuit(n, tuple(b)), "relaxed")
+            ca, cb = Circuit(n, tuple(a)), Circuit(n, tuple(b))
+            verdict = circuits_equal(ca, cb, "relaxed")
             assert verdict == (tuple(b) in _reachable(tuple(a))), (a, b)
             verdicts.add(verdict)
+            for other in (cb, Circuit(n + 1, cb.gates)):  # strict: one wire for all gates
+                assert circuits_equal(ca, other, "strict") == \
+                    (ca.n_qubits == other.n_qubits and ca.gates == other.gates), (a, b)
         assert verdicts == {True, False}
 
 

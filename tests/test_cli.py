@@ -466,6 +466,25 @@ MALFORMED = {
         _write(t / "m.json", '[{"platform": "guadalupe", "k": "4"}]')],
     "manifest-nested-too-deep": lambda t: [
         "bench", "--manifest", _write(t / "m.json", NESTED)],
+    "manifest-platform-null": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": null, "k": 2}]')],
+    "manifest-platform-number": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '[{"platform": 5, "k": 2}]')],
+    "manifest-json-object": lambda t: [
+        "bench", "--manifest", _write(t / "m.json", '{"platform": "guadalupe", "k": 2}')],
+    "manifest-empty": lambda t: ["bench", "--manifest", _write(t / "m.json", "")],
+    "manifest-whitespace": lambda t: ["bench", "--manifest", _write(t / "m.json", " \n\t")],
+    "platform-empty": lambda t: [
+        "subarch", "--platform", _platform_file(t, ""), "--size", "2"],
+    "platform-whitespace": lambda t: [
+        "subarch", "--platform", _platform_file(t, " \n\t"), "--size", "2"],
+    "circuit-empty": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _write(t / "in.qasm", "")],
+    "circuit-whitespace": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit", _write(t / "in.qasm", " \n\t")],
+    "layout-empty": lambda t: _verify_with_layout(t, ""),
+    "layout-whitespace": lambda t: _verify_with_layout(t, " \n\t"),
+    "layout-json-list": lambda t: _verify_with_layout(t, "[0, 1]"),
     "platform-nested-too-deep": lambda t: [
         "map", "--platform", _platform_file(t, NESTED),
         "--circuit", _qasm_file(t, "cx q[0],q[1];")],

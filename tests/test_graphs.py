@@ -61,6 +61,12 @@ class TestCouplingGraph:
         assert len({g, path(3)}) == 1
         shuffled = CouplingGraph([2, 0, 1], [(2, 1), (1, 0)])
         assert shuffled == g and hash(shuffled) == hash(g)
+        assert g != g.edges and g.__eq__(g.edges) is NotImplemented
+
+    def test_repr(self):
+        assert repr(path(3)) == "<CouplingGraph |V|=3 |E|=2>"
+        assert repr(CouplingGraph(range(2), [(0, 1)], "toy")) == \
+            "<CouplingGraph 'toy' |V|=2 |E|=1>"
 
     @pytest.mark.parametrize("roundtrip", [
         copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],

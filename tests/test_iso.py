@@ -237,8 +237,8 @@ class TestFirstInOrbit:
         keys = root_keys(g)
         firsts = [first_in_orbit(g, key) for key in keys]
         assert firsts.count(True) == 2  # one arc orbit and one vertex orbit
-        decided, _ = g._derived["orbits"]
-        assert [decided[key] for key in keys] == firsts
+        tables = g._derived["orbits"]  # key length -> {key: False if skipped, else kept}
+        assert [tables[len(key)][key] is not False for key in keys] == firsts
         assert [first_in_orbit(g, key) for key in reversed(keys)] == firsts[::-1]
 
     def test_deciding_every_root_key_finishes_quickly(self):

@@ -69,6 +69,16 @@ class TestMapOptimal:
         with pytest.raises(ValueError, match="connected"):
             map_optimal(make_ring_circuit(3), g)
 
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [False, True], ["a", "b", "c"]])
+    def test_labels_that_name_no_physical_qubit_are_refused(self, labels):
+        g = CouplingGraph(labels, list(zip(labels, labels[1:])))
+        c = Circuit(2, (Gate("cx", (0, 1)),))
+        # refused before the search starts, so before its first deadline check
+        with pytest.raises(ValueError, match="labels must be non-negative integers"):
+            map_optimal(c, g, deadline=CountdownDeadline(0))
+        with pytest.raises(ValueError, match="labels must be non-negative integers"):
+            map_with_subarch(g, c)
+
     def test_relaxed_never_worse(self):
         rng = random.Random(17)
         for _ in range(15):
