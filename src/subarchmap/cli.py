@@ -28,10 +28,9 @@ def main():
 
 
 def _row_dict(platform_name: str, p: int, ss) -> dict:
-    a, c, ni, mx = ss.counts_row()
     return {
         "platform": platform_name, "P": p, "k": ss.k,
-        "all_subsets": a, "connected": c, "noniso": ni, "max": mx,
+        **{key: ss.stage_counts[key] for key in ("all_subsets", "connected", "noniso", "max")},
         "cached": ss.cached,
         "stage_seconds": {key: round(ss.stage_times[key], 4)
                           for key in ("connected", "noniso", "max", "total")},

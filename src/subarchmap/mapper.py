@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circuits import PHYSICAL, Allocation, Circuit, Gate
+from .circuits import LOGICAL, PHYSICAL, Allocation, Circuit, Gate
 from .graphs import CouplingGraph, bfs, bits
 from .iso import first_in_orbit
 from .maximal import Deadline
@@ -31,6 +31,19 @@ class MapResult:
     initial: Allocation
     swaps: int
     subarch: CouplingGraph
+
+
+def check_mappable(c: Circuit, g: CouplingGraph, bound: int | None) -> None:
+    """Raise ValueError unless the logical circuit c may be mapped onto g within bound."""
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be non-negative")
+    if c.space != LOGICAL:
+        raise ValueError("only a logical circuit can be mapped")
+    if c.n_qubits > g.num_vertices:
+        raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
+                         f"{g.num_vertices}")
+    if not all(type(v) is int and v >= 0 for v in g.vertices):  # not bool
+        raise ValueError("physical qubit labels must be non-negative integers")
 
 
 def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
@@ -98,17 +111,11 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     of them, and after a success returns the unbounded call. deadline is
     checked at every entered node.
     """
-    if bound is not None and bound < 0:
-        raise ValueError("bound must be non-negative")
-    if c.n_qubits > g.num_vertices:
-        raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
-                         f"{g.num_vertices}")
+    check_mappable(c, g, bound)
     gates = c.gates
     m = len(gates)
     k = g.num_vertices
     if (hops := g._derived.get("hops")) is None:  # once per graph
-        if not all(type(v) is int and v >= 0 for v in g.vertices):  # not bool
-            raise ValueError("physical qubit labels must be non-negative integers")
         dist = tuple(d for r in range(k) for d in bfs(g, [r])[1])
         if -1 in dist:
             raise ValueError("coupling graph must be connected")

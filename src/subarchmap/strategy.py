@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuits import Circuit
-from .graphs import CouplingGraph, is_connected
-from .mapper import MapResult, map_optimal
+from .graphs import CouplingGraph
+from .mapper import MapResult, check_mappable, map_optimal
 from .maximal import Deadline, subarchitectures
 
 
@@ -71,15 +71,10 @@ def map_with_subarch(g: CouplingGraph, c: Circuit,
     unbounded witness, so its record answers later attempts as a call would.
     """
     cfg = cfg or StrategyConfig()
-    n = c.n_qubits
-    if n > g.num_vertices:
-        raise ValueError("circuit larger than platform")
-    if not is_connected(g):
-        raise ValueError("platform must be connected")
     if cfg.max_ancillas is not None and cfg.max_ancillas < 0:
         raise ValueError("max_ancillas must be non-negative")
-    if cfg.initial_bound is not None and cfg.initial_bound < 0:
-        raise ValueError("initial_bound must be non-negative")
+    check_mappable(c, g, cfg.initial_bound)  # level(n) refuses a disconnected g
+    n = c.n_qubits
 
     k_max = g.num_vertices if cfg.max_ancillas is None \
         else min(g.num_vertices, n + cfg.max_ancillas)

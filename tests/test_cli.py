@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from subarchmap import load_platform, maximal
 from subarchmap.cli import main
@@ -596,6 +598,151 @@ def test_malformed_input_exits_2_with_a_message(runner, tmp_path, case):
     assert isinstance(res.exception, SystemExit)
     assert "Error: " in res.output and "Traceback" not in res.output
     assert set(tmp_path.rglob("*")) == before  # and nothing was written
+
+
+# The malformed-input oracle: every command on one malformed input file at a
+# time, the others valid. The structural cases (empty files, deep nesting,
+# bytes that are not UTF-8, duplicate keys, bools, floats and huge integers
+# where ints belong) run for every file; seeded draws add mutated valid files
+# and platform documents with odd fields. Platforms keep at most 64 qubits,
+# or MAX_QUBITS + 1 with no edges, so no input allocates much, and --budget
+# caps every search.
+CIRCUIT = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncx q[0], q[1];\nh q[2];\n' \
+    "cx q[1], q[2];\n"
+MAPPED = "// q[0] -> Q[0]\n// q[1] -> Q[1]\n// q[2] -> Q[2]\nOPENQASM 2.0;\nqreg q[5];\n" \
+    "cx q[0], q[1];\nh q[2];\nswap q[3], q[4];\ncx q[1], q[2];\n"  # CIRCUIT on C5
+VALID = {"platform": C5, "circuit": CIRCUIT, "mapped": MAPPED,
+         "layout": '{"0": 0, "1": 1, "2": 2}',
+         # the manifest that is mutated; beside a bad platform, one that names it
+         "manifest": '[{"platform": "guadalupe", "k": 3}, {"platform": "guadalupe", "k": 2}]'}
+ROLES = {"subarch": ["platform"], "map": ["platform", "circuit"],
+         "verify": ["platform", "circuit", "mapped", "layout"],
+         "bench": ["platform", "manifest"]}
+HUGE = str(10**20)
+STRUCTURAL = [text.encode() for text in [
+    "", " \n\t", NESTED, "null", "[]", "{}", '{"0": 0, "0": 1}',
+    '{"qubits": 3, "qubits": 2, "edges": [[0, 1]]}',
+    '{"qubits": 3.0, "edges": [[0, 1], [1, 2]]}', '{"qubits": 3, "edges": [[0, true], [1, 2]]}',
+    f'{{"qubits": 3, "edges": [[0, {HUGE}]]}}', f'{{"qubits": {MAX_QUBITS + 1}}}',
+    '{"0": 0, "1": 1.0, "2": 2}', '{"0": 0, "1": true, "2": 2}',
+    f'{{"0": 0, "1": 1, "2": {HUGE}}}',
+    '[{"platform": "guadalupe", "k": 2.0}]', '[{"platform": "guadalupe", "k": false}]',
+    f'[{{"platform": "guadalupe", "k": {HUGE}}}]',
+    f"OPENQASM 2.0;\nqreg q[{HUGE}];\n", f"qreg q[3];\ncx q[0], q[{HUGE}];\n",
+]] + [b"\xff\xfe not text"]
+TOKENS = [b"[", b"]", b"{", b"}", b",", b":", b'"', b";", b"\n", b" ", b"-", b"0", b"1", b"7",
+          b"true", b"null", b"1.5", b"1e400", b"NaN", b"\xff", b"\xc3", b"q[", b"Q[", b"cx",
+          b"swap", b"h", b"//", b"->", b"qreg", b"(", b")", HUGE.encode(),
+          b'"qubits"', b'"edges"', b'"k"', b'"platform"']
+ODD_INTS = st.one_of(st.booleans(), st.floats(), st.sampled_from([10**20, -(10**20)]),
+                     st.text(max_size=2), st.none())
+
+
+@st.composite
+def mutated(draw, valid: str) -> bytes:
+    data = bytearray(valid.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 6)))
+        data[i:j] = draw(st.sampled_from(TOKENS) | st.binary(max_size=2))
+    return bytes(data)
+
+
+@st.composite
+def platform_docs(draw) -> bytes:
+    """A platform document with odd values in its fields, or with a field missing."""
+    n = draw(st.integers(0, 8) | st.sampled_from([64, MAX_QUBITS + 1]) | ODD_INTS)
+    label = st.integers(-1, 9) | ODD_INTS
+    doc = {"qubits": n, "name": draw(st.sampled_from(["p", ""]) | ODD_INTS),
+           "edges": [] if n == MAX_QUBITS + 1 else draw(
+               st.lists(st.lists(label, min_size=1, max_size=3), max_size=10) | ODD_INTS)}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    return json.dumps(doc).encode()
+
+
+def _few_qubits(text: bytes) -> bool:
+    """False for a platform document that would allocate more than 64 qubits."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return True
+    n = doc.get("qubits") if isinstance(doc, dict) else None
+    return not (type(n) is int and n > 64 and (n != MAX_QUBITS + 1 or doc.get("edges")))
+
+
+BUDGET = ["--budget", "0.5"]
+
+
+def _command_line(command: str, d: Path, bad: str, content: bytes,
+                  options: list[str]) -> list[str]:
+    """`command` with the file of role `bad` holding content and its other files valid;
+    "{d}" in an option stands for the directory d."""
+    options = [o.format(d=d) for o in options]
+    paths = {}
+    for role in ROLES[command]:
+        if role == bad:
+            text = content
+        elif role == "manifest":  # the platform file's path, already written
+            text = json.dumps([{"platform": paths["platform"], "k": 3}]).encode()
+        else:
+            text = VALID[role].encode()
+        (d / role).write_bytes(text)
+        paths[role] = str(d / role)
+    if command == "subarch":
+        return ["subarch", "--platform", paths["platform"], *options, *BUDGET]
+    if command == "map":
+        return ["map", "--platform", paths["platform"], "--circuit", paths["circuit"],
+                "--out", str(d / "out.qasm"), "--report", str(d / "report.json"),
+                *options, *BUDGET]
+    if command == "verify":
+        return ["verify", "--platform", paths["platform"], "--circuit", paths["circuit"],
+                "--mapped", paths["mapped"], "--layout", paths["layout"], *options]
+    return ["bench", "--manifest", paths["manifest"], *options, *BUDGET]
+
+
+def _runs_without_traceback(command: str, bad: str, content: bytes,
+                            options: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as d:
+        res = CliRunner().invoke(main, _command_line(command, Path(d), bad, content, options))
+    assert res.exit_code in (0, 1, 2, 3), (res.output, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", sorted(ROLES))
+def test_structural_input_never_gives_a_traceback(command):
+    options = ["--size", "3"] if command == "subarch" else []
+    for bad in ROLES[command]:
+        for content in STRUCTURAL:
+            _runs_without_traceback(command, bad, content, options)
+
+
+OPTIONS = {
+    "subarch": st.tuples(st.sampled_from([[], ["--stage", "connected"]]),
+                         st.sampled_from([[], ["--list"], ["--json"], ["--emit", "{d}/m"]]),
+                         st.integers(-1, 6).map(lambda k: ["--size", str(k)])),
+    "map": st.tuples(st.sampled_from([[], ["--full-architecture"], ["--ancillas", "0"],
+                                      ["--ancillas", "until-full"]]),
+                     st.sampled_from([[], ["--bound", "0"], ["--bound", "1"]])),
+    "verify": st.tuples(st.sampled_from([["--mode", "strict"], ["--mode", "relaxed"]]),
+                        st.sampled_from([[], ["--layout", "auto"]])),
+    "bench": st.tuples(st.sampled_from([[], ["--json"]])),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROLES))
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_mutated_input_never_gives_a_traceback(command, data):
+    bad = data.draw(st.sampled_from(ROLES[command]))
+    valid = VALID[bad]
+    drawn = mutated(valid) | st.just(valid.encode())
+    if bad == "platform":
+        drawn = (drawn | platform_docs()).filter(_few_qubits)
+    options = [o for group in data.draw(OPTIONS[command]) for o in group]
+    _runs_without_traceback(command, bad, data.draw(drawn), options)
 
 
 class TestBench:

@@ -11,12 +11,15 @@ import pytest
 from subarchmap import (Allocation, Circuit, CouplingGraph, Gate, StrategyConfig,
                         brute_force_optimal, induced_subgraph, load_platform,
                         iso, map_optimal, map_with_subarch, mapper, strategy)
+from subarchmap.circuits import PHYSICAL
 from subarchmap.mapper import OracleLimitError
 from subarchmap.maximal import BudgetExceeded
 from subarchmap.verify import verify_result
 
 from conftest import (CountdownDeadline, cycle, make_ring_circuit, path, random_circuit,
                       random_connected_graph, relabel_graph)
+
+TOKYO = load_platform("tokyo")
 
 
 class TestMapOptimal:
@@ -69,15 +72,37 @@ class TestMapOptimal:
         with pytest.raises(ValueError, match="connected"):
             map_optimal(make_ring_circuit(3), g)
 
-    @pytest.mark.parametrize("labels", [[-1, 0, 1], [False, True], ["a", "b", "c"]])
-    def test_labels_that_name_no_physical_qubit_are_refused(self, labels):
-        g = CouplingGraph(labels, list(zip(labels, labels[1:])))
-        c = Circuit(2, (Gate("cx", (0, 1)),))
-        # refused before the search starts, so before its first deadline check
+    @pytest.mark.parametrize("g, c", [
+        *(pytest.param(CouplingGraph(labels, list(zip(labels, labels[1:]))),
+                       Circuit(2, (Gate("cx", (0, 1)),)), id=f"labels{i}")
+          for i, labels in enumerate([[-1, 0, 1], [False, True], ["a", "b", "c"]])),
+        # Tokyo with every label less one, -1..18. Ring-8 fits with no swap onto
+        # (1, 2, 3, 6, 7, 8, 11, 12), a member whose labels are all valid, so
+        # only a check of the whole platform refuses it.
+        pytest.param(relabel_graph(TOKYO, {v: v - 1 for v in TOKYO.vertices}),
+                     make_ring_circuit(8), id="tokyo-less-one"),
+    ])
+    def test_labels_that_name_no_physical_qubit_are_refused(self, g, c, computations):
+        # refused before the search starts and before any level is computed, so
+        # before the first deadline check
         with pytest.raises(ValueError, match="labels must be non-negative integers"):
             map_optimal(c, g, deadline=CountdownDeadline(0))
-        with pytest.raises(ValueError, match="labels must be non-negative integers"):
-            map_with_subarch(g, c)
+        for deadline in (None, CountdownDeadline(0)):
+            with pytest.raises(ValueError, match="labels must be non-negative integers"):
+                map_with_subarch(g, c, deadline=deadline)
+        assert computations == []
+
+    @pytest.mark.parametrize("c", [
+        Circuit(2, (Gate("cx", (4, 5)),), PHYSICAL),  # operands beyond n_qubits
+        Circuit(3, (Gate("swap", (0, 1)), Gate("cx", (1, 2))), PHYSICAL),
+    ], ids=["operands-beyond-register", "with-a-swap"])
+    def test_a_physical_circuit_is_refused(self, c, computations):
+        g = load_platform("guadalupe")
+        with pytest.raises(ValueError, match="only a logical circuit"):
+            map_optimal(c, g, deadline=CountdownDeadline(0))
+        with pytest.raises(ValueError, match="only a logical circuit"):
+            map_with_subarch(g, c, deadline=CountdownDeadline(0))
+        assert computations == []
 
     def test_relaxed_never_worse(self):
         rng = random.Random(17)
