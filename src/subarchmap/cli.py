@@ -10,9 +10,9 @@ import click
 
 from .circuits import (LOGICAL, PHYSICAL, RELAXED, STRICT, Allocation, Circuit, emit_qasm,
                        parse_layout_comments, parse_qasm)
-from .graphs import CouplingGraph, PlatformError, _decode_json, is_connected, load_platform
+from .graphs import CouplingGraph, PlatformError, _decode_json, load_platform
 from .maximal import BudgetExceeded, Deadline, subarchitectures
-from .mapper import map_optimal
+from .mapper import check_mappable, map_optimal
 from .strategy import StrategyConfig, map_with_subarch, optimality_certificate
 from .subgraphs import connected_subgraphs
 from .verify import check_equivalence, check_feasibility, make_verdict
@@ -83,9 +83,7 @@ def _check_target(ctx, param, path: str | None) -> str | None:
 @click.option("--json", "as_json", is_flag=True)
 def subarch(platform, k, stage, list_members, emit_dir, budget, as_json):
     """Enumerate subarchitectures; prints a benchmark-table style row."""
-    g = _load(platform, connected=True)
-    if not 1 <= k <= g.num_vertices:
-        raise click.UsageError(f"size {k} out of range for |P|={g.num_vertices}")
+    g = _load(platform)
     if stage == "connected" and emit_dir:
         raise click.UsageError("--emit needs --stage full")
     stem = f"{g.name or 'platform'}-k{k}"
@@ -108,6 +106,8 @@ def subarch(platform, k, stage, list_members, emit_dir, budget, as_json):
     except BudgetExceeded:
         click.echo("TO")
         sys.exit(EXIT_BUDGET)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     row = _row_dict(g.name or platform, g.num_vertices, ss)
     if as_json:
         click.echo(json.dumps(row))
@@ -132,8 +132,7 @@ def subarch(platform, k, stage, list_members, emit_dir, budget, as_json):
 @main.command(name="map")
 @click.option("--platform", required=True)
 @click.option("--circuit", "circuit_path", type=_INPUT_FILE, required=True)
-@click.option("--bound", type=click.IntRange(min=0), default=None,
-              help="Initial swap bound.")
+@click.option("--bound", type=int, default=None, help="Initial swap bound.")
 @click.option("--full-architecture", is_flag=True,
               help="Map directly onto the whole platform, no subarchitectures.")
 @click.option("--ancillas", default=None,
@@ -149,25 +148,16 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path
     """Map a circuit; emits mapped QASM plus a JSON summary."""
     if full_architecture and ancillas is not None:
         raise click.UsageError("--ancillas needs subarchitectures, not --full-architecture")
-    g = _load(platform, connected=True)
-    circ = _parse_circuit(circuit_path, g)
-    if ancillas == "until-full":
-        max_anc = None
-    else:
-        try:
-            max_anc = int(2 if ancillas is None else ancillas)
-        except ValueError:
-            max_anc = -1
-        if max_anc < 0:
-            raise click.UsageError(
-                '--ancillas takes a non-negative integer or "until-full"')
+    g = _load(platform)
+    _, circ = _parse(circuit_path, "--circuit")
     deadline = None if budget is None else Deadline(budget)
     try:
         if full_architecture:
             result = map_optimal(circ, g, bound=bound, deadline=deadline)
             report_doc = {"map_calls": 1}  # written only on success
         else:
-            cfg = StrategyConfig(max_ancillas=max_anc, initial_bound=bound)
+            cfg = StrategyConfig(initial_bound=bound, max_ancillas=None if ancillas == "until-full"
+                                 else int(2 if ancillas is None else ancillas))
             strat = map_with_subarch(g, circ, cfg, deadline)
             result = strat.result
             cert = optimality_certificate(strat, g, cfg)
@@ -176,6 +166,8 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path
     except BudgetExceeded:
         click.echo("TO")
         sys.exit(EXIT_BUDGET)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     if result is None:
         click.echo(json.dumps({"success": False}))
         sys.exit(EXIT_FAILURE)
@@ -208,7 +200,11 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path
 def verify(platform, circuit_path, mapped_path, layout, mode):
     """Check feasibility and equivalence of a mapped circuit. Exit 0/1."""
     g = _load(platform)
-    original = _parse_circuit(circuit_path, g)
+    _, original = _parse(circuit_path, "--circuit")
+    try:
+        check_mappable(original, g, None)  # also keeps check_equivalence's qubit set small
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--circuit") from None
     mapped_text, mapped = _parse(mapped_path, "--mapped", PHYSICAL)
     try:
         if layout == "auto":
@@ -257,7 +253,7 @@ def bench(manifest, budget, as_json):
         except BudgetExceeded:
             timeouts += 1
             rows.append({"platform": name, "P": None, "k": k, "error": "TO"})
-        except (PlatformError, ValueError) as exc:
+        except ValueError as exc:
             errors += 1
             rows.append({"platform": name, "P": None, "k": k, "error": str(exc)})
     if as_json:
@@ -275,14 +271,11 @@ def bench(manifest, budget, as_json):
         sys.exit(EXIT_FAILURE)
 
 
-def _load(platform: str, connected: bool = False) -> CouplingGraph:
+def _load(platform: str) -> CouplingGraph:
     try:
-        g = load_platform(platform)
+        return load_platform(platform)
     except PlatformError as exc:
         raise click.UsageError(str(exc))
-    if connected and not is_connected(g):
-        raise click.BadParameter("platform is not connected", param_hint="--platform")
-    return g
 
 
 def _parse(path: str, option: str, space: str = LOGICAL) -> tuple[str, Circuit]:
@@ -291,14 +284,6 @@ def _parse(path: str, option: str, space: str = LOGICAL) -> tuple[str, Circuit]:
         return text, parse_qasm(text, space=space)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise click.BadParameter(str(exc), param_hint=option)
-
-
-def _parse_circuit(path: str, g: CouplingGraph) -> Circuit:
-    _, circ = _parse(path, "--circuit")
-    if not 1 <= circ.n_qubits <= g.num_vertices:
-        raise click.BadParameter(f"circuit has {circ.n_qubits} qubits, platform "
-                                 f"has {g.num_vertices}", param_hint="--circuit")
-    return circ
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ def check_mappable(c: Circuit, g: CouplingGraph, bound: int | None) -> None:
         raise ValueError("bound must be non-negative")
     if c.space != LOGICAL:
         raise ValueError("only a logical circuit can be mapped")
+    if c.n_qubits == 0:
+        raise ValueError("circuit has no qubits")
     if c.n_qubits > g.num_vertices:
         raise ValueError(f"circuit needs {c.n_qubits} qubits, architecture has "
                          f"{g.num_vertices}")

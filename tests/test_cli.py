@@ -9,9 +9,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from subarchmap import load_platform, maximal
+from subarchmap import (Circuit, CouplingGraph, Gate, StrategyConfig, connected_subgraphs,
+                        load_platform, map_optimal, map_with_subarch, maximal,
+                        subarchitectures)
 from subarchmap.cli import main
 from subarchmap.graphs import MAX_QUBITS
+from subarchmap.mapper import check_mappable
 
 RING_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -352,9 +355,12 @@ def _platform_file(tmp_path, doc):
     return _write(tmp_path / "platform.json", doc)
 
 
+TWO_TRIANGLES = CouplingGraph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
 def _two_triangles(tmp_path):
     return _write(tmp_path / "split.json", json.dumps(
-        {"qubits": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]}))
+        {"qubits": 6, "edges": sorted(TWO_TRIANGLES.edges)}))
 
 
 def _not_utf8(path):
@@ -427,6 +433,14 @@ MALFORMED = {
     "disconnected-platform-map": lambda t: [
         "map", "--platform", _two_triangles(t), "--circuit",
         _qasm_file(t, "cx q[0],q[1];")],
+    "disconnected-platform-subarch-connected": lambda t: [
+        "subarch", "--platform", _two_triangles(t), "--size", "3", "--stage", "connected"],
+    "disconnected-platform-map-full-architecture": lambda t: [
+        "map", "--platform", _two_triangles(t), "--circuit",
+        _qasm_file(t, "cx q[0],q[1];"), "--full-architecture"],
+    "size-zero-subarch": lambda t: ["subarch", "--platform", "guadalupe", "--size", "0"],
+    "size-above-platform-subarch-connected": lambda t: [
+        "subarch", "--platform", "guadalupe", "--size", "17", "--stage", "connected"],
     "layout-not-json": lambda t: _verify_with_layout(t, "{0: 1"),
     "layout-value-bool": lambda t: _verify_with_layout(t, '{"0": false, "1": 1}'),
     "layout-value-float": lambda t: _verify_with_layout(t, '{"0": 0, "1": 1.7}'),
@@ -455,6 +469,9 @@ MALFORMED = {
     "negative-bound": lambda t: [
         "map", "--platform", "guadalupe", "--circuit",
         _qasm_file(t, "cx q[0],q[1];"), "--bound", "-1"],
+    "ancillas-not-a-number": lambda t: [
+        "map", "--platform", "guadalupe", "--circuit",
+        _qasm_file(t, "cx q[0],q[1];"), "--ancillas", "x"],
     "manifest-row-without-k": lambda t: [
         "bench", "--manifest", _write(t / "m.json", '[{"platform": "guadalupe"}]')],
     "manifest-k-bool": lambda t: [
@@ -600,6 +617,39 @@ def test_malformed_input_exits_2_with_a_message(runner, tmp_path, case):
     assert set(tmp_path.rglob("*")) == before  # and nothing was written
 
 
+GUADALUPE = load_platform("guadalupe")
+CX_01, CX_0_19 = Circuit(2, (Gate("cx", (0, 1)),)), Circuit(20, (Gate("cx", (0, 19)),))
+
+# The library call that refuses the same input as each MALFORMED case the
+# library judges; the CLI only reports that refusal.
+REFUSED_BY = {
+    "circuit-larger-than-platform": lambda: map_with_subarch(GUADALUPE, CX_0_19),
+    "circuit-larger-than-platform-verify": lambda: check_mappable(CX_0_19, GUADALUPE, None),
+    "circuit-without-qubits": lambda: map_with_subarch(GUADALUPE, Circuit(0, ())),
+    "circuit-without-qubits-verify": lambda: check_mappable(Circuit(0, ()), GUADALUPE, None),
+    "disconnected-platform-subarch": lambda: subarchitectures(TWO_TRIANGLES, 3),
+    "disconnected-platform-subarch-connected":
+        lambda: next(connected_subgraphs(TWO_TRIANGLES, 3)),
+    "disconnected-platform-map": lambda: map_with_subarch(TWO_TRIANGLES, CX_01),
+    "disconnected-platform-map-full-architecture": lambda: map_optimal(CX_01, TWO_TRIANGLES),
+    "size-zero-subarch": lambda: subarchitectures(GUADALUPE, 0),
+    "size-above-platform-subarch-connected": lambda: next(connected_subgraphs(GUADALUPE, 17)),
+    "negative-ancillas": lambda: map_with_subarch(
+        GUADALUPE, CX_01, StrategyConfig(max_ancillas=-1)),
+    "negative-bound": lambda: map_with_subarch(
+        GUADALUPE, CX_01, StrategyConfig(initial_bound=-1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BY))
+def test_the_cli_reports_the_library_refusal(runner, tmp_path, case):
+    with pytest.raises(ValueError) as refusal:
+        REFUSED_BY[case]()
+    res = runner.invoke(main, MALFORMED[case](tmp_path))
+    assert res.exit_code == 2, res.output
+    assert str(refusal.value) in res.output
+
+
 # The malformed-input oracle: every command on one malformed input file at a
 # time, the others valid. The structural cases (empty files, deep nesting,
 # bytes that are not UTF-8, duplicate keys, bools, floats and huge integers
@@ -723,8 +773,10 @@ OPTIONS = {
                          st.sampled_from([[], ["--list"], ["--json"], ["--emit", "{d}/m"]]),
                          st.integers(-1, 6).map(lambda k: ["--size", str(k)])),
     "map": st.tuples(st.sampled_from([[], ["--full-architecture"], ["--ancillas", "0"],
-                                      ["--ancillas", "until-full"]]),
-                     st.sampled_from([[], ["--bound", "0"], ["--bound", "1"]])),
+                                      ["--ancillas", "until-full"], ["--ancillas", "-1"],
+                                      ["--ancillas", "x"]]),
+                     st.sampled_from([[], ["--bound", "0"], ["--bound", "1"],
+                                      ["--bound", "-1"]])),
     "verify": st.tuples(st.sampled_from([["--mode", "strict"], ["--mode", "relaxed"]]),
                         st.sampled_from([[], ["--layout", "auto"]])),
     "bench": st.tuples(st.sampled_from([[], ["--json"]])),

@@ -104,6 +104,15 @@ class TestMapOptimal:
             map_with_subarch(g, c, deadline=CountdownDeadline(0))
         assert computations == []
 
+    def test_a_circuit_with_no_qubits_is_refused(self, computations):
+        g, c = load_platform("guadalupe"), Circuit(0, ())
+        with pytest.raises(ValueError, match="circuit has no qubits"):
+            map_optimal(c, g, deadline=CountdownDeadline(0))
+        for deadline in (None, CountdownDeadline(0)):
+            with pytest.raises(ValueError, match="circuit has no qubits"):
+                map_with_subarch(g, c, deadline=deadline)
+        assert computations == []
+
     def test_relaxed_never_worse(self):
         rng = random.Random(17)
         for _ in range(15):
