@@ -57,6 +57,15 @@ def _check_budget(ctx, param, budget: float | None) -> float | None:
     return budget
 
 
+def _check_ancillas(ctx, param, ancillas: str | None) -> int | str | None:
+    if ancillas is None or ancillas == "until-full":
+        return ancillas
+    try:
+        return int(ancillas)  # its sign is the library's to judge
+    except ValueError:
+        raise click.BadParameter('must be an integer or "until-full"') from None
+
+
 def _check_nonempty(ctx, param, path: str | None) -> str | None:
     if path == "":
         raise click.BadParameter("must not be empty")
@@ -135,7 +144,7 @@ def subarch(platform, k, stage, list_members, emit_dir, budget, as_json):
 @click.option("--bound", type=int, default=None, help="Initial swap bound.")
 @click.option("--full-architecture", is_flag=True,
               help="Map directly onto the whole platform, no subarchitectures.")
-@click.option("--ancillas", default=None,
+@click.option("--ancillas", default=None, callback=_check_ancillas,
               help='Max ancilla qubits (default 2), or "until-full".')
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               callback=_check_target, help="Write mapped QASM here (default: stdout).")
@@ -154,20 +163,22 @@ def map_cmd(platform, circuit_path, bound, full_architecture, ancillas, out_path
     try:
         if full_architecture:
             result = map_optimal(circ, g, bound=bound, deadline=deadline)
-            report_doc = {"map_calls": 1}  # written only on success
         else:
             cfg = StrategyConfig(initial_bound=bound, max_ancillas=None if ancillas == "until-full"
-                                 else int(2 if ancillas is None else ancillas))
+                                 else 2 if ancillas is None else ancillas)
             strat = map_with_subarch(g, circ, cfg, deadline)
             result = strat.result
-            cert = optimality_certificate(strat, g, cfg)
-            report_doc = {"map_calls": strat.map_calls,
-                          "outcomes": cert["bound_chain"], "certificate": cert}
     except BudgetExceeded:
         click.echo("TO")
         sys.exit(EXIT_BUDGET)
-    except ValueError as exc:
+    except ValueError as exc:  # the library's refusal of the target
         raise click.UsageError(str(exc)) from None
+    if full_architecture:
+        report_doc = {"map_calls": 1}  # written only on success
+    else:
+        cert = optimality_certificate(strat, g, cfg)
+        report_doc = {"map_calls": strat.map_calls,
+                      "outcomes": cert["bound_chain"], "certificate": cert}
     if result is None:
         click.echo(json.dumps({"success": False}))
         sys.exit(EXIT_FAILURE)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuits import LOGICAL, PHYSICAL, Allocation, Circuit, Gate
-from .graphs import CouplingGraph, bfs, bits
+from .graphs import CouplingGraph, bfs, bits, is_connected
 from .iso import first_in_orbit
 from .maximal import Deadline
 
@@ -118,9 +118,9 @@ def map_optimal(c: Circuit, g: CouplingGraph, bound: int | None = None,
     m = len(gates)
     k = g.num_vertices
     if (hops := g._derived.get("hops")) is None:  # once per graph
-        dist = tuple(d for r in range(k) for d in bfs(g, [r])[1])
-        if -1 in dist:
+        if not is_connected(g):  # one BFS, before the k*k hop counts
             raise ValueError("coupling graph must be connected")
+        dist = tuple(d for r in range(k) for d in bfs(g, [r])[1])
         nbrs = tuple(bits(row) for row in g._rows)
         hops = g._derived["hops"] = (
             dist, nbrs, tuple((r, s) for r in range(k) for s in nbrs[r] if r < s))

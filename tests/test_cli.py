@@ -438,6 +438,9 @@ MALFORMED = {
     "disconnected-platform-map-full-architecture": lambda t: [
         "map", "--platform", _two_triangles(t), "--circuit",
         _qasm_file(t, "cx q[0],q[1];"), "--full-architecture"],
+    "edgeless-platform-map-full-architecture": lambda t: [
+        "map", "--platform", _platform_file(t, json.dumps({"qubits": 4096, "edges": []})),
+        "--circuit", _qasm_file(t, "cx q[0],q[1];"), "--full-architecture"],
     "size-zero-subarch": lambda t: ["subarch", "--platform", "guadalupe", "--size", "0"],
     "size-above-platform-subarch-connected": lambda t: [
         "subarch", "--platform", "guadalupe", "--size", "17", "--stage", "connected"],
@@ -632,6 +635,8 @@ REFUSED_BY = {
         lambda: next(connected_subgraphs(TWO_TRIANGLES, 3)),
     "disconnected-platform-map": lambda: map_with_subarch(TWO_TRIANGLES, CX_01),
     "disconnected-platform-map-full-architecture": lambda: map_optimal(CX_01, TWO_TRIANGLES),
+    "edgeless-platform-map-full-architecture":
+        lambda: map_optimal(CX_01, CouplingGraph(range(4096), [])),
     "size-zero-subarch": lambda: subarchitectures(GUADALUPE, 0),
     "size-above-platform-subarch-connected": lambda: next(connected_subgraphs(GUADALUPE, 17)),
     "negative-ancillas": lambda: map_with_subarch(
@@ -648,6 +653,12 @@ def test_the_cli_reports_the_library_refusal(runner, tmp_path, case):
     res = runner.invoke(main, MALFORMED[case](tmp_path))
     assert res.exit_code == 2, res.output
     assert str(refusal.value) in res.output
+
+
+def test_an_ancilla_count_that_is_not_a_number_is_named(runner, tmp_path):
+    res = runner.invoke(main, MALFORMED["ancillas-not-a-number"](tmp_path))
+    assert res.exit_code == 2
+    assert "'--ancillas': must be an integer or \"until-full\"" in res.output
 
 
 # The malformed-input oracle: every command on one malformed input file at a

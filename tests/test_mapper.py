@@ -72,6 +72,12 @@ class TestMapOptimal:
         with pytest.raises(ValueError, match="connected"):
             map_optimal(make_ring_circuit(3), g)
 
+    def test_a_disconnected_target_is_refused_before_its_hop_table(self, monkeypatch):
+        # One BFS decides it: the k*k hop counts of 65,536 qubits would not fit in memory.
+        monkeypatch.setattr(mapper, "bfs", lambda *_: pytest.fail("hop table built"))
+        with pytest.raises(ValueError, match="connected"):
+            map_optimal(Circuit(2, (Gate("cx", (0, 1)),)), CouplingGraph(range(65536), []))
+
     @pytest.mark.parametrize("g, c", [
         *(pytest.param(CouplingGraph(labels, list(zip(labels, labels[1:]))),
                        Circuit(2, (Gate("cx", (0, 1)),)), id=f"labels{i}")
