@@ -35,11 +35,11 @@ class Gate:
     params: str = ""
 
     def __post_init__(self):
-        if self.name in ("cx", "swap"):
+        if self.is_binary:
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError(f"{self.name} needs two distinct operands: {self.qubits}")
         elif len(self.qubits) != 1:
-            raise ValueError(f"unary gate {self.name!r} needs one operand: {self.qubits}")
+            raise ValueError(f"{self.name!r} is not cx or swap and takes one operand: {self.qubits}")
 
     @property
     def is_binary(self) -> bool:
@@ -67,11 +67,11 @@ class Circuit:
         for g in self.gates:
             if self.space == LOGICAL:
                 if g.name == "swap":
-                    raise ValueError("logical circuits contain no swap gates")
+                    raise ValueError(f"logical circuits contain no swap gates: {g.render()}")
                 if any(not 0 <= q < self.n_qubits for q in g.qubits):
-                    raise ValueError(f"operand out of range in {g}")
+                    raise ValueError(f"operand out of range in {g.render()}")
             elif any(q < 0 for q in g.qubits):
-                raise ValueError(f"negative physical label in {g}")
+                raise ValueError(f"negative physical label in {g.render()}")
 
     def swap_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "swap")
@@ -79,7 +79,7 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Injective map from logical qubits to physical qubit labels."""
+    """Injective map from logical qubits to physical qubit labels, all non-negative ints."""
 
     forward: tuple[tuple[int, int], ...]
 
@@ -88,8 +88,11 @@ class Allocation:
         return cls(tuple(sorted(mapping.items())))
 
     def __post_init__(self):
-        targets = [p for _, p in self.forward]
-        if len(set(targets)) != len(targets):
+        if not all(type(x) is int and x >= 0 for pair in self.forward for x in pair):  # not bool
+            raise ValueError(f"allocation qubits must be non-negative ints: {self.forward}")
+        if len(dict(self.forward)) != len(self.forward):
+            raise ValueError("allocation places a logical qubit twice")
+        if len(self.inverse()) != len(self.forward):
             raise ValueError("allocation is not injective")
 
     def inverse(self) -> dict[int, int]:
@@ -140,7 +143,7 @@ def parse_qasm(text: str, space: str = LOGICAL) -> Circuit:
     """Parse an OpenQASM 2.0 subset: one qreg, unary gates, cx, swap.
 
     Barriers, comments, include and creg lines are ignored. Anything else is
-    rejected rather than silently skipped.
+    rejected rather than silently skipped, with a QasmError naming the statement.
     """
     reg_name: str | None = None
     n_qubits = 0
@@ -177,16 +180,16 @@ def parse_qasm(text: str, space: str = LOGICAL) -> Circuit:
                 raise QasmError(f"operand {arg.strip()!r} is beyond qreg {reg_name}[{n_qubits}] "
                                 f"in {stmt!r}")
             operands.append(q)
-        if len(operands) > 2:
-            raise QasmError(f"gates of arity >= 3 are unsupported: {stmt!r}")
-        if name in ("cx", "swap") and len(operands) != 2:
-            raise QasmError(f"{name} needs two operands: {stmt!r}")
-        if name not in ("cx", "swap") and len(operands) != 1:
-            raise QasmError(f"unsupported binary gate {name!r}: {stmt!r}")
-        gates.append(Gate(name, tuple(operands), params))
+        try:
+            gates.append(Gate(name, tuple(operands), params))
+        except ValueError as exc:
+            raise QasmError(f"{exc} in {stmt!r}") from None
     if reg_name is None:
         raise QasmError("no qreg declaration found")
-    return Circuit(n_qubits, tuple(gates), space)
+    try:
+        return Circuit(n_qubits, tuple(gates), space)
+    except ValueError as exc:
+        raise QasmError(str(exc)) from None
 
 
 def emit_qasm(c: Circuit, layout: Allocation | None = None) -> str:
@@ -207,15 +210,9 @@ _LAYOUT_RE = re.compile(r"//\s*q\[(\d+)\]\s*->\s*Q\[(\d+)\]")
 
 
 def parse_layout_comments(text: str) -> Allocation | None:
-    """Recover an initial layout from `// q[i] -> Q[j]` comment lines.
-
-    Raises ValueError when a logical qubit is laid out twice.
-    """
+    """The initial layout that `// q[i] -> Q[j]` comment lines give, or None if none do."""
     found = [(int(q), int(p)) for q, p in _LAYOUT_RE.findall(text)]
-    pairs = dict(found)
-    if len(pairs) != len(found):
-        raise ValueError("a logical qubit is laid out twice in the layout comments")
-    return Allocation.from_dict(pairs) if pairs else None
+    return Allocation(tuple(sorted(found))) if found else None
 
 
 def _wires(c: Circuit, mode: str) -> dict[int, list[Gate]]:

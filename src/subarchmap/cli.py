@@ -222,13 +222,13 @@ def verify(platform, circuit_path, mapped_path, layout, mode):
             alloc = parse_layout_comments(mapped_text)
         else:
             doc = _decode_json(Path(layout).read_text())
-            if not all(type(p) is int and p >= 0 for p in doc.values()):  # not bool
-                raise ValueError("layout values must be non-negative JSON integers")
+            if not isinstance(doc, dict):
+                raise ValueError("must be a JSON object {\"logical\": physical, ...}")
             if not all(q.isascii() and q.isdigit() and str(int(q)) == q for q in doc):
                 raise ValueError("layout keys must be non-negative integers in "
                                  "decimal, such as \"0\"")
             alloc = Allocation.from_dict({int(q): p for q, p in doc.items()})
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:  # Allocation judges the values
         raise click.BadParameter(str(exc), param_hint="--layout")
     if alloc is None:
         raise click.UsageError("no layout comments in mapped file; pass --layout FILE")

@@ -20,7 +20,7 @@ def connected_subgraphs(g: CouplingGraph, k: int) -> Iterator[tuple[int, ...]]:
     never accumulates in memory.
     """
     if not 1 <= k <= g.num_vertices:
-        raise ValueError(f"k={k} out of range for |V|={g.num_vertices}")
+        raise ValueError(f"k={k} is outside 1..|V|={g.num_vertices}")
     if not is_connected(g):
         raise ValueError("graph must be connected; decompose into components first")
 

@@ -19,6 +19,8 @@ class TestGate:
     def test_unary_needs_one(self):
         with pytest.raises(ValueError):
             Gate("h", (0, 1))
+        with pytest.raises(ValueError, match="'cz' is not cx or swap and takes one operand"):
+            Gate("cz", (0, 1))
 
     def test_relabel(self):
         assert Gate("cx", (0, 1)).relabel({0: 5, 1: 2}) == Gate("cx", (5, 2))
@@ -30,17 +32,17 @@ class TestGate:
 
 class TestCircuit:
     def test_logical_rejects_swap(self):
-        with pytest.raises(ValueError, match="no swap"):
+        with pytest.raises(ValueError, match=re.escape("no swap gates: swap q[0], q[1];")):
             Circuit(2, (Gate("swap", (0, 1)),))
 
     def test_logical_range_check(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=re.escape("out of range in cx q[0], q[2];")):
             Circuit(2, (Gate("cx", (0, 2)),))
 
     def test_physical_allows_swap_and_large_labels(self):
         c = Circuit(2, (Gate("swap", (7, 9)),), PHYSICAL)
         assert c.swap_count() == 1
-        with pytest.raises(ValueError, match="negative physical label"):
+        with pytest.raises(ValueError, match=re.escape("negative physical label in swap q[-1]")):
             Circuit(2, (Gate("swap", (-1, 9)),), PHYSICAL)
 
     def test_rejects_a_bad_space_tag(self):
@@ -56,6 +58,16 @@ class TestAllocation:
     def test_inverse(self):
         a = Allocation.from_dict({0: 4, 1: 2})
         assert a.inverse() == {4: 0, 2: 1}
+
+    def test_a_logical_qubit_is_placed_once(self):
+        with pytest.raises(ValueError, match="places a logical qubit twice"):
+            Allocation(((0, 1), (0, 2)))
+
+    @pytest.mark.parametrize("mapping", [{0: -1}, {0: True}, {-1: 0}, {False: 0},
+                                         {0: 1.0}, {0: "1"}, {0: None}])
+    def test_qubits_are_non_negative_ints(self, mapping):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            Allocation.from_dict(mapping)
 
 
 class TestUnmap:
@@ -121,12 +133,28 @@ class TestQasm:
             parse_qasm("qreg q[2]; qreg r[2];")
 
     def test_rejects_unknown_binary(self):
-        with pytest.raises(QasmError, match="binary"):
+        with pytest.raises(QasmError, match=re.escape(
+                "'cz' is not cx or swap and takes one operand: (0, 1) in 'cz q[0], q[1]'")):
             parse_qasm("qreg q[2]; cz q[0], q[1];")
 
     def test_rejects_arity_three(self):
-        with pytest.raises(QasmError, match="arity"):
+        with pytest.raises(QasmError, match=re.escape(
+                "'ccx' is not cx or swap and takes one operand: (0, 1, 2) "
+                "in 'ccx q[0], q[1], q[2]'")):
             parse_qasm("qreg q[3]; ccx q[0], q[1], q[2];")
+
+    @pytest.mark.parametrize("space", [LOGICAL, PHYSICAL])
+    @pytest.mark.parametrize("stmt, operands", [("cx q[0], q[0]", (0, 0)),
+                                                ("swap q[1], q[1]", (1, 1))])
+    def test_rejects_a_gate_on_one_qubit_twice(self, space, stmt, operands):
+        message = f"needs two distinct operands: {operands} in {stmt!r}"
+        with pytest.raises(QasmError, match=re.escape(message)):
+            parse_qasm(f"qreg q[2]; {stmt};", space)
+
+    def test_rejects_a_swap_in_a_logical_circuit(self):
+        assert parse_qasm("qreg q[2]; swap q[0], q[1];", PHYSICAL).swap_count() == 1
+        with pytest.raises(QasmError, match=re.escape("no swap gates: swap q[0], q[1];")):
+            parse_qasm("qreg q[2]; swap q[0], q[1];")
 
     @pytest.mark.parametrize("space", [LOGICAL, PHYSICAL])
     @pytest.mark.parametrize("stmt", ["h q[2];", "cx q[0], q[2];", "cx q[5], q[1];"])
@@ -135,7 +163,7 @@ class TestQasm:
             parse_qasm(f"qreg q[2]; {stmt}", space)
 
     @pytest.mark.parametrize("text, message", [
-        ("qreg q[2]; cx q[0];", "cx needs two operands"),
+        ("qreg q[2]; cx q[0];", r"cx needs two distinct operands: \(0,\) in 'cx q\[0\]'"),
         ("OPENQASM 2.0;", "no qreg declaration"),
     ])
     def test_rejects_a_missing_operand_or_register(self, text, message):
@@ -174,6 +202,12 @@ class TestQasm:
         text = emit_qasm(c, layout=a)
         assert parse_layout_comments(text) == a
         assert parse_layout_comments("qreg q[2];") is None
+
+    @pytest.mark.parametrize("comments", ["// q[0] -> Q[5]\n// q[0] -> Q[0]\n",
+                                          "// q[0] -> Q[0]\n// q[0] -> Q[0]\n"])
+    def test_layout_comments_place_each_qubit_once(self, comments):
+        with pytest.raises(ValueError, match="places a logical qubit twice"):
+            parse_layout_comments(comments + "// q[1] -> Q[1]\nqreg q[2];")
 
 
 class TestEquivalence:

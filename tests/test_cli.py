@@ -507,6 +507,9 @@ MALFORMED = {
     "layout-empty": lambda t: _verify_with_layout(t, ""),
     "layout-whitespace": lambda t: _verify_with_layout(t, " \n\t"),
     "layout-json-list": lambda t: _verify_with_layout(t, "[0, 1]"),
+    "layout-json-number": lambda t: _verify_with_layout(t, "5"),
+    "layout-json-string": lambda t: _verify_with_layout(t, '"x"'),
+    "layout-json-null": lambda t: _verify_with_layout(t, "null"),
     "platform-nested-too-deep": lambda t: [
         "map", "--platform", _platform_file(t, NESTED),
         "--circuit", _qasm_file(t, "cx q[0],q[1];")],
@@ -659,6 +662,14 @@ def test_an_ancilla_count_that_is_not_a_number_is_named(runner, tmp_path):
     res = runner.invoke(main, MALFORMED["ancillas-not-a-number"](tmp_path))
     assert res.exit_code == 2
     assert "'--ancillas': must be an integer or \"until-full\"" in res.output
+
+
+@pytest.mark.parametrize("case", ["layout-json-list", "layout-json-number",
+                                  "layout-json-string", "layout-json-null"])
+def test_a_layout_that_is_not_an_object_is_named(runner, tmp_path, case):
+    res = runner.invoke(main, MALFORMED[case](tmp_path))
+    assert res.exit_code == 2
+    assert "Invalid value for --layout: must be a JSON object" in res.output
 
 
 # The malformed-input oracle: every command on one malformed input file at a

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -110,7 +111,7 @@ class TestParsePlatform:
             parse_platform("{nope")
 
     def test_edge_out_of_range(self):
-        with pytest.raises(PlatformError, match="out of range"):
+        with pytest.raises(PlatformError, match=re.escape("edge (0,2) has endpoint outside")):
             parse_platform('{"qubits": 2, "edges": [[0, 2]]}')
 
     def test_missing_qubits_field(self):
@@ -134,6 +135,7 @@ class TestParsePlatform:
         ('{"qubits": 3, "edges": [[0, 1.0]]}', "endpoints must be integers"),
         ('{"qubits": 3, "edges": [[true, false]]}', "endpoints must be integers"),
         ('{"qubits": 3, "edges": [[1, 1]]}', "self-loop"),
+        ('{"qubits": 3, "edges": [[-1, 0]]}', re.escape("edge (-1,0) has endpoint outside")),
         ('{"name": [1], "qubits": 3, "edges": [[0, 1]]}', "'name' must be a string"),
     ])
     def test_rejects_malformed_document(self, doc, match):
